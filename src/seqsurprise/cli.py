@@ -1,16 +1,19 @@
 """Command line front end.
 
 Deterministic and scriptable: the same argv always produces the same
-bytes on stdout.  Exit codes: 0 success, 2 bad usage or unparsable
-input, 3 capability limit (exhaustive search on sequences longer than
-the supported size), 1 internal failure or a failed consistency check.
+bytes on stdout.  Each subcommand accepts only the options it honours:
+``lottery bulletin`` takes no ``--config`` or ``--format``, and
+``lottery refcheck`` prints json or plain only.  Exit codes: 0 success,
+2 bad usage (including an option the subcommand does not take) or
+unparsable input, 3 capability limit (exhaustive search on sequences
+longer than the supported size), 1 internal failure or a failed
+consistency check.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import pathlib
 import sys
 import traceback
@@ -33,7 +36,6 @@ from .lottery import (
     simulate_subjects,
 )
 from .oracle import (
-    BudgetError,
     DEFAULT_OPERATORS,
     FULL_OPERATORS,
     SOFT_LENGTH_LIMIT,
@@ -156,12 +158,7 @@ def cmd_oracle(args: argparse.Namespace, model: CostModel) -> int:
     tokens = _parse_tokens(args.tokens)
     _guard_oracle_length(len(tokens), args.allow_long)
     operators = FULL_OPERATORS if args.mirror else DEFAULT_OPERATORS
-    budget = SearchBudget(
-        max_program_length=args.max_length,
-        max_cost=args.max_cost if args.max_cost is not None else math.inf,
-        operators=operators,
-    )
-    cost, prog = oracle_min_cost(tokens, model, budget)
+    cost, prog = oracle_min_cost(tokens, model, SearchBudget(operators=operators))
     record = {"tokens": tokens, "cost_bits": cost, "n_ops": len(prog.ops)}
     _emit(record, args.format, prog.trace_lines() if args.trace else ())
     return 0
@@ -289,9 +286,10 @@ def cmd_lottery_experiment(args: argparse.Namespace, model: CostModel) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="FILE",
-                        help="cost model overrides, flat key=value lines")
+    configured = argparse.ArgumentParser(add_help=False)
+    configured.add_argument("--config", metavar="FILE",
+                            help="cost model overrides, flat key=value lines")
+    common = argparse.ArgumentParser(add_help=False, parents=[configured])
     common.add_argument("--format", choices=("json", "csv", "plain"),
                         default="plain")
     traced = argparse.ArgumentParser(add_help=False)
@@ -307,7 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="analyze a sequence and report its description cost")
     p.add_argument("tokens", nargs="+", metavar="TOKEN")
     p.add_argument("--mirror", action="store_true",
-                   help="allow the palindromic-transfer operator")
+                   help="read a whole even palindrome as its first half plus a "
+                        "mirror; the exhaustive search mirrors any prefix, so "
+                        "--oracle may then report oracle_match=false")
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against the exhaustive search")
     p.add_argument("--allow-long", action="store_true",
@@ -318,10 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exhaustive minimal-description search")
     p.add_argument("tokens", nargs="+", metavar="TOKEN")
     p.add_argument("--mirror", action="store_true")
-    p.add_argument("--max-length", type=int, default=None,
-                   help="cap on program length (default: 2n-1)")
-    p.add_argument("--max-cost", type=float, default=None,
-                   help="cap on program cost in bits")
     p.add_argument("--allow-long", action="store_true")
     p.set_defaults(func=cmd_oracle)
 
@@ -341,12 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="one combination per line; '-' or absent reads stdin")
     p.set_defaults(func=cmd_lottery_rank)
 
-    p = lotsub.add_parser("refcheck", parents=[common],
+    p = lotsub.add_parser("refcheck", parents=[configured],
                           help="rank the built-in reference set and verify its order")
+    p.add_argument("--format", choices=("json", "plain"), default="plain")
     p.set_defaults(func=cmd_lottery_refcheck)
 
-    p = lotsub.add_parser("bulletin", parents=[common],
-                          help="generate a shuffled bulletin")
+    p = lotsub.add_parser("bulletin", help="generate a shuffled bulletin")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--n-random", type=int, default=4)
     p.add_argument("--out", metavar="FILE")
@@ -383,7 +379,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (UsageError, BudgetError, GenerationError, ReplayError, ValueError) as exc:
+    except (UsageError, GenerationError, ReplayError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:

@@ -75,13 +75,8 @@ class CostModel:
 DEFAULT_MODEL = CostModel()
 
 
-def number_complexity(n: int, model: CostModel | None = None) -> Bits:
-    """Rank cost of instantiating the number n: log2(n + 1).
-
-    The model argument is accepted for interface symmetry; the rank cost
-    does not depend on it.
-    """
-    del model
+def number_complexity(n: int) -> Bits:
+    """Rank cost of instantiating the number n: log2(n + 1)."""
     if n < 0:
         raise ValueError(f"number_complexity is defined for nonnegative integers, got {n}")
     return math.log2(n + 1)

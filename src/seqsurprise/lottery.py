@@ -23,6 +23,8 @@ from .costmodel import Bits, CostModel, DEFAULT_MODEL
 
 POOL_SIZE = 49
 COMBINATION_LENGTH = 6
+# Replications drawn per vectorized Monte-Carlo batch; bounds its memory.
+_MC_CHUNK = 100_000
 
 
 @dataclass(frozen=True)
@@ -348,8 +350,7 @@ def avoidance_probability(n_total: int, n_choices: int, n_avoided: int,
 
 
 def avoidance_probability_mc(n_total: int, n_choices: int, n_avoided: int,
-                             n_subjects: int, n_replications: int, seed: int,
-                             chunk: int = 100_000) -> float:
+                             n_subjects: int, n_replications: int, seed: int) -> float:
     """Monte-Carlo estimate of the same probability by direct simulation.
 
     Each replication draws, for every subject, ``n_choices`` distinct
@@ -365,7 +366,7 @@ def avoidance_probability_mc(n_total: int, n_choices: int, n_avoided: int,
     if n_choices == 2:
         remaining = n_replications
         while remaining > 0:
-            m = min(chunk, remaining)
+            m = min(_MC_CHUNK, remaining)
             a = rng.integers(0, n_total, size=(m, n_subjects), dtype=np.int16)
             b = rng.integers(0, n_total - 1, size=(m, n_subjects), dtype=np.int16)
             b = b + (b >= a)  # second pick distinct from the first

@@ -11,15 +11,21 @@ Ties are broken toward the lexicographically smallest operation stream:
 candidates are expanded in canonical order (copy, increment by rising
 step, mirror, plain instantiate, digit readings) and only strict
 improvements replace the incumbent.
+
+The search needs no length or cost cap.  Every move emits at least one
+token with at most two operations, and the first token's moves have
+one, so no program is longer than the naive 2n - 1 operations; the naive
+program itself is always a candidate, so the minimum never exceeds
+``naive_cost``.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .analyzer import Move, check_sequence, explained_move, fresh_moves, naive_cost
+from .analyzer import Move, check_sequence, explained_move, fresh_moves
 from .costmodel import Bits, CostModel, DEFAULT_MODEL
 from .program import DescriptionProgram, Operation, OpKind, StmState
 
@@ -30,28 +36,14 @@ DEFAULT_OPERATORS = frozenset(
 FULL_OPERATORS = DEFAULT_OPERATORS | {OpKind.MIRROR}
 
 
-class BudgetError(ValueError):
-    """The search budget cannot accommodate even the naive program."""
-
-
 @dataclass(frozen=True)
 class SearchBudget:
-    """Limits on the explored program space.
+    """The structure operators the search may use.
 
-    ``max_program_length`` must leave room for the naive program (one
-    instantiation per token plus a segment start before each token after
-    the first); ``None`` means sized automatically.  ``operators`` lists
-    the structure operators the search may use; plain instantiation and
-    segment starts are always available.
+    Plain instantiation and segment starts are always available.
     """
 
-    max_program_length: int | None = None
-    max_cost: float = math.inf
     operators: frozenset[OpKind] = DEFAULT_OPERATORS
-
-    def length_for(self, n_tokens: int) -> int:
-        needed = 2 * n_tokens - 1
-        return needed if self.max_program_length is None else self.max_program_length
 
 
 def _candidates(toks: tuple[int, ...], pos: int, stm: StmState,
@@ -86,44 +78,25 @@ def oracle_min_cost(seq: Sequence[int], model: CostModel = DEFAULT_MODEL,
     """
     toks = check_sequence(seq)
     budget = budget or SearchBudget()
-    max_len = budget.length_for(len(toks))
-    naive_ops = 2 * len(toks) - 1
-    if max_len < naive_ops or naive_cost(toks, model) > budget.max_cost:
-        raise BudgetError(
-            f"budget excludes the naive program ({naive_ops} ops, "
-            f"{naive_cost(toks, model):.3f} bits)")
-
     best_cost = math.inf
-    best_ops: tuple[Operation, ...] | None = None
+    best_ops: tuple[Operation, ...] = ()
 
-    def search(pos: int, acc: Bits, n_ops: int, stm: StmState,
-               ops: list[Operation]) -> None:
+    def search(pos: int, acc: Bits, stm: StmState, ops: list[Operation]) -> None:
         nonlocal best_cost, best_ops
-        if acc >= best_cost - 1e-12 or acc > budget.max_cost:
+        if acc >= best_cost - 1e-12:
             return
         if pos == len(toks):
             best_cost = acc
             best_ops = tuple(ops)
             return
         for move in _candidates(toks, pos, stm, model, budget):
-            if n_ops + len(move.ops) > max_len:
-                continue
             emitted = pos if move.ops[-1].kind is OpKind.MIRROR else 1
             child = StmState(stm.capacity, list(stm.slots))
             for key in move.touches:
                 child.touch(key)
             ops.extend(move.ops)
-            search(pos + emitted, acc + move.cost, n_ops + len(move.ops), child, ops)
+            search(pos + emitted, acc + move.cost, child, ops)
             del ops[len(ops) - len(move.ops):]
 
-    search(0, 0.0, 0, StmState(model.stm_capacity), [])
-    if best_ops is None:  # pragma: no cover - naive program always fits
-        raise BudgetError("no program found within budget")
-    prog = DescriptionProgram(best_ops, best_cost, toks)
-    return best_cost, prog
-
-
-def with_operators(budget: SearchBudget | None,
-                   operators: frozenset[OpKind]) -> SearchBudget:
-    """Copy of the budget with a different operator subset."""
-    return replace(budget or SearchBudget(), operators=operators)
+    search(0, 0.0, StmState(model.stm_capacity), [])
+    return best_cost, DescriptionProgram(best_ops, best_cost, toks)

@@ -1,11 +1,13 @@
+import argparse
 import io
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
-from seqsurprise.cli import main
+from seqsurprise.cli import build_parser, main
 
 COMPLEXITY_GOLDEN = "cost_bits=2\nn_ops=6\ntokens=1 2 3 4 5 6\n"
 SURPRISE_GOLDEN = (
@@ -78,10 +80,21 @@ def test_oracle_length_capability_limit(capsys):
     assert "cost_bits=2\n" in out
 
 
-def test_oracle_budget_error(capsys):
-    code, _, err = run(capsys, ["oracle", "1", "2", "3", "--max-cost", "1.0"])
-    assert code == 2
-    assert "budget" in err
+def test_unhonoured_options_are_usage_errors(tmp_path, capsys):
+    bad_cfg = tmp_path / "bad.cfg"
+    bad_cfg.write_text("not a config\n")
+    for argv in (
+        ["oracle", "1", "2", "3", "--max-cost", "1"],
+        ["oracle", "1", "2", "3", "--max-length", "4"],
+        ["lottery", "bulletin", "--seed", "1", "--format", "json"],
+        ["lottery", "bulletin", "--seed", "1", "--config", str(bad_cfg)],
+        ["lottery", "refcheck", "--format", "csv"],
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "error:" in err
+        assert "Traceback" not in err
 
 
 def test_surprise_golden(capsys):
@@ -225,6 +238,56 @@ def test_experiment_csv_and_histogram_file(tmp_path, capsys):
     assert code == 0
     assert out.startswith("bin,count\n")
     assert hist.read_text() == out
+
+
+FORMAT_ARGV = {
+    ("complexity",): ["complexity", "7", "7", "8"],
+    ("oracle",): ["oracle", "7", "7", "8"],
+    ("surprise",): ["surprise", "33333"],
+    ("lottery", "rank"): ["lottery", "rank", "{combos}"],
+    ("lottery", "refcheck"): ["lottery", "refcheck"],
+    ("lottery", "experiment"): ["lottery", "experiment", "--seed", "2",
+                                "--subjects", "3"],
+}
+
+
+def _format_choices(parser, path=()):
+    """(subcommand path, --format value) for every parser that takes --format."""
+    for action in parser._actions:
+        if "--format" in action.option_strings:
+            for choice in action.choices:
+                yield path, choice
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from _format_choices(child, path + (name,))
+
+
+FORMAT_CASES = list(_format_choices(build_parser()))
+
+
+def _is_json(text):
+    try:
+        json.loads(text)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("path,fmt", FORMAT_CASES,
+                         ids=["-".join(p + (f,)) for p, f in FORMAT_CASES])
+def test_every_accepted_format_is_honoured(path, fmt, tmp_path, capsys):
+    combos = tmp_path / "combos.txt"
+    combos.write_text("1 2 3 4 5 6\n14 24 36 38 42 44\n")
+    argv = [a.format(combos=combos) for a in FORMAT_ARGV[path]]
+    code, out, _ = run(capsys, argv + ["--format", fmt])
+    assert code == 0
+    has_csv_header = re.fullmatch(r"[a-z_]+(,[a-z_]+)+", out.splitlines()[0])
+    if fmt == "json":
+        assert _is_json(out)
+    elif fmt == "csv":
+        assert has_csv_header and not _is_json(out)
+    else:
+        assert not has_csv_header and not _is_json(out)
 
 
 def test_module_entry_point():

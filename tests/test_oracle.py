@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -5,21 +6,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import seqsurprise
+from seqsurprise import oracle
 from seqsurprise.analyzer import analyze, naive_cost
 from seqsurprise.costmodel import CostModel
 from seqsurprise.oracle import (
-    BudgetError,
     DEFAULT_OPERATORS,
     FULL_OPERATORS,
     SOFT_LENGTH_LIMIT,
     SearchBudget,
     oracle_min_cost,
-    with_operators,
 )
 from seqsurprise.program import OpKind, replay
 
 short_sequences = st.lists(st.integers(min_value=0, max_value=49),
                            min_size=1, max_size=5)
+charges = st.floats(min_value=0.0, max_value=4.0)
+cost_models = st.builds(
+    CostModel,
+    copy_cost=charges,
+    dup_cost=charges,
+    segment_start_cost=charges,
+    mirror_cost=charges,
+    zero_after_nine_cost=charges,
+    stm_capacity=st.integers(min_value=0, max_value=4),
+    allowed_increments=st.frozensets(st.integers(min_value=1, max_value=9),
+                                     min_size=1, max_size=3),
+)
+operator_sets = st.sampled_from([DEFAULT_OPERATORS, FULL_OPERATORS])
 
 
 def test_known_minima():
@@ -37,11 +51,14 @@ def test_soft_length_limit_is_documented_not_enforced():
 
 
 @settings(max_examples=150)
-@given(short_sequences)
-def test_witness_is_sound(seq):
-    cost, prog = oracle_min_cost(seq)
+@given(short_sequences, cost_models, operator_sets)
+def test_witness_is_sound(seq, model, operators):
+    cost, prog = oracle_min_cost(seq, model, SearchBudget(operators=operators))
     assert replay(prog) == seq
     assert prog.total_cost == pytest.approx(cost)
+    # the bounds that make a length or cost cap on the search pointless
+    assert len(prog.ops) <= 2 * len(seq) - 1
+    assert cost <= naive_cost(seq, model) + 1e-9
 
 
 @settings(max_examples=150)
@@ -90,22 +107,24 @@ def test_restricted_operator_set_falls_back_to_instantiation():
                for op in prog.ops)
 
 
-def test_budget_must_admit_naive_program():
-    with pytest.raises(BudgetError):
-        oracle_min_cost([1, 2, 3], budget=SearchBudget(max_program_length=4))
-    with pytest.raises(BudgetError):
-        oracle_min_cost([1, 2, 3], budget=SearchBudget(max_cost=1.0))
-    # exactly the naive size is admissible
-    cost, _ = oracle_min_cost([1, 2, 3], budget=SearchBudget(max_program_length=5))
+def test_budget_takes_no_length_or_cost_cap():
+    with pytest.raises(TypeError):
+        SearchBudget(max_cost=1.0)
+    with pytest.raises(TypeError):
+        SearchBudget(max_program_length=4)
+    # the search needs no cap to return the minimum
+    cost, prog = oracle_min_cost([1, 2, 3], budget=SearchBudget())
     assert cost == pytest.approx(analyze([1, 2, 3]).total_cost)
+    assert len(prog.ops) <= 5
 
 
-def test_with_operators_helper():
-    budget = with_operators(None, FULL_OPERATORS)
-    assert budget.operators == FULL_OPERATORS
-    tightened = with_operators(SearchBudget(max_cost=9.0), DEFAULT_OPERATORS)
-    assert tightened.max_cost == 9.0
-    assert tightened.operators == DEFAULT_OPERATORS
+def test_budget_is_only_an_operator_set():
+    assert [f.name for f in dataclasses.fields(SearchBudget)] == ["operators"]
+    assert SearchBudget().operators == DEFAULT_OPERATORS
+    assert SearchBudget(operators=FULL_OPERATORS).operators == FULL_OPERATORS
+    for gone in ("BudgetError", "with_operators"):
+        assert gone not in seqsurprise.__all__
+        assert not hasattr(oracle, gone)
 
 
 def test_cost_perturbation_moves_the_minimum_consistently():
