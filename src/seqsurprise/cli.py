@@ -250,6 +250,9 @@ def cmd_lottery_bulletin(args: argparse.Namespace, model: CostModel) -> int:
 
 
 def cmd_lottery_experiment(args: argparse.Namespace, model: CostModel) -> int:
+    if args.mc_replications < 0:
+        raise UsageError(
+            f"--mc-replications must be >= 0, got {args.mc_replications}")
     choice = ChoiceModel(kind=args.model, tau=args.tau)
     config = ExperimentConfig(
         seed=args.seed,

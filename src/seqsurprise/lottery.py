@@ -162,6 +162,8 @@ class ChoiceModel:
     def __post_init__(self) -> None:
         if self.kind not in (UNIFORM, COMPLEXITY_WEIGHTED):
             raise ValueError(f"unknown choice model kind {self.kind!r}")
+        if math.isnan(self.tau):
+            raise ValueError("tau must be a number of bits, got nan")
 
     def weight(self, bits: Bits) -> float:
         if self.kind == UNIFORM:

@@ -7,6 +7,14 @@ memory state the analyzer uses, and returns the cheapest valid program.
 Branch and bound against the running best keeps the search cheap at the
 documented soft limit of 8 tokens; beyond that the tree grows quickly.
 
+Each position's readings are priced once per solve, before the search
+starts: its COPY/INCREMENT reading (charged and free, chosen at each
+node by whether its short-term memory key is held), its mirror move and
+its fresh moves.  That removes the per-node repricing but not a single
+node: the tree, and so its exponential growth, is unchanged, which is
+why ``SOFT_LENGTH_LIMIT`` stays and the command line interface still
+needs ``--allow-long`` (or exits 3) past it.
+
 Ties are broken toward the lexicographically smallest operation stream:
 candidates are expanded in canonical order (copy, increment by rising
 step, mirror, plain instantiate, digit readings) and only strict
@@ -24,6 +32,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .analyzer import Move, check_sequence, explained_move, fresh_moves
 from .costmodel import Bits, CostModel, DEFAULT_MODEL
@@ -46,24 +55,46 @@ class SearchBudget:
     operators: frozenset[OpKind] = DEFAULT_OPERATORS
 
 
-def _candidates(toks: tuple[int, ...], pos: int, stm: StmState,
-                model: CostModel, budget: SearchBudget) -> list[Move]:
-    token = toks[pos]
-    moves: list[Move] = []
-    if pos > 0:
-        explained = explained_move(token, toks[pos - 1], stm, model)
-        if explained is not None and explained.ops[0].kind in budget.operators:
-            moves.append(explained)
-        if OpKind.MIRROR in budget.operators and pos >= 1:
-            # A mirror emits the reversal of everything produced so far.
-            if toks[pos: pos + pos] == toks[:pos][::-1] and pos + pos <= len(toks):
-                moves.append(
-                    Move(ops=(Operation(OpKind.MIRROR, (), model.mirror_cost),),
-                         cost=model.mirror_cost, order=5))
+class _Readings(NamedTuple):
+    """One position's moves, built once per solve.
+
+    ``charged`` and ``free`` are the COPY/INCREMENT reading with its STM
+    ``key`` not held and held; all three are None when no such reading
+    applies or the budget excludes it.  ``rest`` holds the mirror move,
+    if one applies, then the fresh moves, in canonical order.
+    """
+
+    key: tuple | None
+    charged: Move | None
+    free: Move | None
+    rest: tuple[Move, ...]
+
+
+def _reading_table(toks: tuple[int, ...], model: CostModel,
+                   budget: SearchBudget) -> list[_Readings]:
     allow_split = OpKind.SPLIT_DIGITS in budget.operators
-    moves.extend(fresh_moves(token, model, first=pos == 0, allow_split=allow_split))
-    moves.sort(key=lambda m: m.order)
-    return moves
+    mirror = None
+    if OpKind.MIRROR in budget.operators:
+        mirror = Move(ops=(Operation(OpKind.MIRROR, (), model.mirror_cost),),
+                      cost=model.mirror_cost, order=5)
+    table: list[_Readings] = []
+    for pos, token in enumerate(toks):
+        key = charged = free = None
+        rest: list[Move] = []
+        if pos > 0:
+            prev = toks[pos - 1]
+            explained = explained_move(token, prev, StmState(model.stm_capacity), model)
+            if explained is not None and explained.ops[0].kind in budget.operators:
+                key, charged = explained.touches[0], explained
+                held = StmState(model.stm_capacity, [key])
+                free = explained_move(token, prev, held, model)
+            # A mirror emits the reversal of everything produced so far.
+            if (mirror is not None and pos + pos <= len(toks)
+                    and toks[pos: pos + pos] == toks[:pos][::-1]):
+                rest.append(mirror)
+        rest.extend(fresh_moves(token, model, first=pos == 0, allow_split=allow_split))
+        table.append(_Readings(key, charged, free, tuple(rest)))
+    return table
 
 
 def oracle_min_cost(seq: Sequence[int], model: CostModel = DEFAULT_MODEL,
@@ -77,7 +108,7 @@ def oracle_min_cost(seq: Sequence[int], model: CostModel = DEFAULT_MODEL,
     interface refuses them instead.
     """
     toks = check_sequence(seq)
-    budget = budget or SearchBudget()
+    table = _reading_table(toks, model, budget or SearchBudget())
     best_cost = math.inf
     best_ops: tuple[Operation, ...] = ()
 
@@ -89,7 +120,10 @@ def oracle_min_cost(seq: Sequence[int], model: CostModel = DEFAULT_MODEL,
             best_cost = acc
             best_ops = tuple(ops)
             return
-        for move in _candidates(toks, pos, stm, model, budget):
+        slot, charged, free, rest = table[pos]
+        if slot is not None:
+            rest = (free if slot in stm else charged,) + rest
+        for move in rest:
             emitted = pos if move.ops[-1].kind is OpKind.MIRROR else 1
             child = StmState(stm.capacity, list(stm.slots))
             for key in move.touches:

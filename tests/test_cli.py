@@ -231,6 +231,19 @@ def test_experiment_mc_estimate(capsys):
     assert 0.0 <= obj["avoidance_probability_mc"] <= 0.01
 
 
+@pytest.mark.parametrize("option", [
+    ["--tau", "nan", "--model", "complexity_weighted"],
+    ["--mc-replications", "-3"],
+])
+def test_experiment_rejects_invalid_option(option, capsys):
+    code, out, err = run(capsys, ["lottery", "experiment", "--seed", "7",
+                                  "--format", "json"] + option)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert option[0].lstrip("-") in err
+
+
 def test_experiment_csv_and_histogram_file(tmp_path, capsys):
     hist = tmp_path / "hist.csv"
     code, out, _ = run(capsys, ["lottery", "experiment", "--seed", "4",

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import seqsurprise
+from brute_force import brute_force_min_cost
 from seqsurprise import oracle
 from seqsurprise.analyzer import analyze, naive_cost
 from seqsurprise.costmodel import CostModel
@@ -34,6 +35,17 @@ cost_models = st.builds(
                                      min_size=1, max_size=3),
 )
 operator_sets = st.sampled_from([DEFAULT_OPERATORS, FULL_OPERATORS])
+# small tokens give copies, increments and 10/11/12 digit readings; the
+# doubled halves give mirrors
+brute_sequences = st.one_of(
+    st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=6),
+    st.lists(st.integers(min_value=0, max_value=49), min_size=1, max_size=3)
+    .map(lambda half: half + half[::-1]),
+)
+
+
+def _op_tuples(ops):
+    return tuple((op.kind, op.args, op.charged_cost, op.free) for op in ops)
 
 
 def test_known_minima():
@@ -59,6 +71,33 @@ def test_witness_is_sound(seq, model, operators):
     # the bounds that make a length or cost cap on the search pointless
     assert len(prog.ops) <= 2 * len(seq) - 1
     assert cost <= naive_cost(seq, model) + 1e-9
+
+
+@settings(max_examples=150)
+@given(brute_sequences, cost_models, operator_sets)
+def test_witness_matches_unpruned_enumeration(seq, model, operators):
+    cost, prog = oracle_min_cost(seq, model, SearchBudget(operators=operators))
+    ref_cost, ref_ops = brute_force_min_cost(seq, model, operators)
+    assert cost == ref_cost
+    assert _op_tuples(prog.ops) == _op_tuples(ref_ops)
+
+
+def test_each_position_is_priced_once_per_solve(monkeypatch):
+    calls = 0
+    real = oracle.fresh_moves
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    seq = [11, 22, 33, 44] * 3
+    monkeypatch.setattr(oracle, "fresh_moves", counting)
+    cost, prog = oracle_min_cost(seq, budget=SearchBudget(operators=FULL_OPERATORS))
+    # one call per position; the per-node rebuild made thousands
+    assert calls == len(seq)
+    assert cost == pytest.approx(43.72067178682555)
+    assert replay(prog) == seq
 
 
 @settings(max_examples=150)
