@@ -19,11 +19,19 @@ COPY and INCREMENT(k) occupy short-term memory once used: while a kind
 is held, further uses are free.  Under the default capacity of 4 the
 three possible kinds never compete for slots, so each operator kind is
 charged at most once per sequence.
+
+A fresh start depends only on the token and on whether it opens the
+sequence, so :func:`analyze_many` keeps a table from ``(token, first)``
+to the cheapest of its :func:`fresh_moves` and prices each pair once per
+call, however many sequences of the batch share it.  The table is scoped
+to the call, never to the process: it holds moves for one cost model
+only, and it goes away with the iterator.  :func:`analyze` is a batch of
+one.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .costmodel import Bits, CostModel, DEFAULT_MODEL, digit_complexity, number_complexity
@@ -126,19 +134,19 @@ def explained_move(token: int, prev: int, stm: StmState,
     return None
 
 
-def _scan(toks: tuple[int, ...], model: CostModel) -> DescriptionProgram:
+def _scan(toks: tuple[int, ...], model: CostModel,
+          cheapest: dict[tuple[int, bool], Move]) -> DescriptionProgram:
     stm = StmState(model.stm_capacity)
     ops: list[Operation] = []
     total = 0.0
     for i, token in enumerate(toks):
-        if i == 0:
-            move = min(fresh_moves(token, model, first=True),
-                       key=lambda m: (m.cost, m.order))
-        else:
-            move = explained_move(token, toks[i - 1], stm, model)
-            if move is None:
-                move = min(fresh_moves(token, model, first=False),
-                           key=lambda m: (m.cost, m.order))
+        first = i == 0
+        move = None if first else explained_move(token, toks[i - 1], stm, model)
+        if move is None:
+            move = cheapest.get((token, first))
+        if move is None:
+            move = cheapest[token, first] = min(fresh_moves(token, model, first=first),
+                                                key=lambda m: (m.cost, m.order))
         ops.extend(move.ops)
         total += move.cost
         for key in move.touches:
@@ -155,6 +163,33 @@ def naive_cost(seq: Sequence[int], model: CostModel = DEFAULT_MODEL) -> Bits:
     return total
 
 
+def _describe(toks: tuple[int, ...], model: CostModel, enable_mirror: bool,
+              cheapest: dict[tuple[int, bool], Move]) -> DescriptionProgram:
+    best = _scan(toks, model, cheapest)
+    n = len(toks)
+    if enable_mirror and n >= 2 and n % 2 == 0 and toks == toks[::-1]:
+        half = _describe(toks[: n // 2], model, True, cheapest)
+        mirrored_total = half.total_cost + model.mirror_cost
+        if mirrored_total < best.total_cost - 1e-12:
+            ops = half.ops + (Operation(OpKind.MIRROR, (), model.mirror_cost),)
+            best = DescriptionProgram(ops, mirrored_total, toks)
+    return best
+
+
+def analyze_many(seqs: Iterable[Sequence[int]], model: CostModel = DEFAULT_MODEL, *,
+                 enable_mirror: bool = False) -> Iterator[DescriptionProgram]:
+    """Describe each sequence in turn, lazily, as :func:`analyze` would.
+
+    The cheapest fresh reading of each ``(token, first)`` pair is priced
+    once per call and reused for every later sequence of the batch.  The
+    table lives only as long as the returned iterator, and no program is
+    kept after it is yielded.
+    """
+    cheapest: dict[tuple[int, bool], Move] = {}
+    for seq in seqs:
+        yield _describe(check_sequence(seq), model, enable_mirror, cheapest)
+
+
 def analyze(seq: Sequence[int], model: CostModel = DEFAULT_MODEL, *,
             enable_mirror: bool = False) -> DescriptionProgram:
     """Describe a sequence and return the program with its total cost.
@@ -163,16 +198,7 @@ def analyze(seq: Sequence[int], model: CostModel = DEFAULT_MODEL, *,
     first half plus one MIRROR operation; the cheaper of the two readings
     wins, with the plain scan preferred on ties.
     """
-    toks = check_sequence(seq)
-    best = _scan(toks, model)
-    n = len(toks)
-    if enable_mirror and n >= 2 and n % 2 == 0 and toks == toks[::-1]:
-        half = analyze(toks[: n // 2], model, enable_mirror=True)
-        mirrored_total = half.total_cost + model.mirror_cost
-        if mirrored_total < best.total_cost - 1e-12:
-            ops = half.ops + (Operation(OpKind.MIRROR, (), model.mirror_cost),)
-            best = DescriptionProgram(ops, mirrored_total, toks)
-    return best
+    return next(analyze_many([seq], model, enable_mirror=enable_mirror))
 
 
 def derive_10_to_70(model: CostModel = DEFAULT_MODEL) -> DescriptionProgram:

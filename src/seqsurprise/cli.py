@@ -7,7 +7,8 @@ bytes on stdout.  Each subcommand accepts only the options it honours:
 2 bad usage (including an option the subcommand does not take) or
 unparsable input, 3 capability limit (exhaustive search on sequences
 longer than the supported size), 1 internal failure or a failed
-consistency check.
+consistency check.  Run as a program (``entrypoint``), a stdout closed
+by its reader ends the process by SIGPIPE, shell status 141.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
+import signal
 import sys
 import traceback
 
@@ -391,6 +393,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
+    # A reader that closes the pipe early (``| head``) ends the process the
+    # Unix way, by SIGPIPE, instead of a BrokenPipeError traceback and the
+    # exit status 1 that means an internal failure.
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .analyzer import analyze
+from .analyzer import analyze, analyze_many
 from .costmodel import Bits, CostModel, DEFAULT_MODEL
 
 POOL_SIZE = 49
@@ -89,7 +89,9 @@ def rank_combinations(combos: Iterable[LotteryCombination],
                       model: CostModel = DEFAULT_MODEL
                       ) -> list[tuple[LotteryCombination, Bits]]:
     """Sort simplest first; equal costs fall back to numeric order."""
-    scored = [(combo, combination_complexity(combo, model)) for combo in combos]
+    combos = list(combos)
+    programs = analyze_many((combo.numbers for combo in combos), model)
+    scored = [(combo, prog.total_cost) for combo, prog in zip(combos, programs)]
     scored.sort(key=lambda item: (item[1], item[0].numbers))
     return scored
 
@@ -115,8 +117,9 @@ def reference_rank_report(model: CostModel = DEFAULT_MODEL) -> ReferenceRankRepo
     must stay within one bit of itself, and the two simplest entries must
     sit at least two bits below everything else.
     """
-    rows = tuple((combo, combination_complexity(combo, model))
-                 for combo in REFERENCE_COMBINATIONS)
+    programs = analyze_many((combo.numbers for combo in REFERENCE_COMBINATIONS), model)
+    rows = tuple((combo, prog.total_cost)
+                 for combo, prog in zip(REFERENCE_COMBINATIONS, programs))
     costs = [bits for _, bits in rows]
     order_ok = True
     prev_max = -math.inf
@@ -162,8 +165,8 @@ class ChoiceModel:
     def __post_init__(self) -> None:
         if self.kind not in (UNIFORM, COMPLEXITY_WEIGHTED):
             raise ValueError(f"unknown choice model kind {self.kind!r}")
-        if math.isnan(self.tau):
-            raise ValueError("tau must be a number of bits, got nan")
+        if not math.isfinite(self.tau):
+            raise ValueError(f"tau must be a finite number of bits, got {self.tau!r}")
 
     def weight(self, bits: Bits) -> float:
         if self.kind == UNIFORM:
@@ -263,11 +266,6 @@ def generate_bulletin(config: ExperimentConfig,
     return [bulletin[i] for i in order]
 
 
-def _marked_simplest(config: ExperimentConfig, model: CostModel) -> set[tuple[int, ...]]:
-    ranked = rank_combinations(config.fixed_combinations, model)
-    return {combo.numbers for combo, _ in ranked[:2]}
-
-
 def _pick_weighted(rng: np.random.Generator, weights: list[float],
                    n_picks: int) -> tuple[list[int], bool]:
     """Sequential weighted sampling without replacement; zero-sum weights
@@ -303,16 +301,27 @@ def simulate_subjects(config: ExperimentConfig,
     configured choice model.  The histogram bins chosen complexities by
     integer floor.  Histogram mass equals subjects times choices.
     """
-    marked = _marked_simplest(config, model)
+    # Each subject's stream draws the bulletin and then the picks, so all
+    # bulletins can be drawn first and every distinct ticket priced once.
+    subjects = []
+    for s in range(config.n_subjects):
+        rng = _subject_rng(config.seed, s)
+        subjects.append((rng, generate_bulletin(config, rng)))
+    tickets = dict.fromkeys([combo.numbers for combo in config.fixed_combinations]
+                            + [combo.numbers for _, bulletin in subjects
+                               for combo in bulletin])
+    bits_of = {numbers: prog.total_cost
+               for numbers, prog in zip(tickets, analyze_many(tickets, model))}
+    fixed = sorted((combo.numbers for combo in config.fixed_combinations),
+                   key=lambda numbers: (bits_of[numbers], numbers))
+    marked = set(fixed[:2])
     choices: list[tuple[int, ...]] = []
     chosen_bits: list[tuple[Bits, ...]] = []
     histogram: dict[int, int] = {}
     avoided: list[bool] = []
     fallback_seen = False
-    for s in range(config.n_subjects):
-        rng = _subject_rng(config.seed, s)
-        bulletin = generate_bulletin(config, rng)
-        bits = [combination_complexity(c, model) for c in bulletin]
+    for rng, bulletin in subjects:
+        bits = [bits_of[c.numbers] for c in bulletin]
         weights = [config.choice_model.weight(b) for b in bits]
         picked, fallback = _pick_weighted(rng, weights, config.n_choices_per_subject)
         fallback_seen = fallback_seen or fallback

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analyzer import analyze
+from .analyzer import analyze, analyze_many
 from .costmodel import Bits, CostModel, DEFAULT_MODEL
 
 DIGIT_CHOICE_BITS = math.log2(10.0)
@@ -69,9 +69,10 @@ def expected_complexity(template: ExpectationTemplate,
         return template.value
     if isinstance(template, MonteCarloPool):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(template.seed)))
+        samples = (template.sampler(rng) for _ in range(template.n_samples))
         total = 0.0
-        for _ in range(template.n_samples):
-            total += analyze(list(template.sampler(rng)), model).total_cost
+        for prog in analyze_many(samples, model):
+            total += prog.total_cost
         return total / template.n_samples
     raise TypeError(f"unknown expectation template {template!r}")
 

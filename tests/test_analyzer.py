@@ -1,20 +1,26 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import cost_models, op_tuples
+from seqsurprise import analyzer
 from seqsurprise.analyzer import (
     PATH_DIGITS,
     PATH_REPEAT,
     PATH_STEP,
     analyze,
+    analyze_many,
     derive_10_to_70,
+    explained_move,
+    fresh_moves,
     naive_cost,
     split_readings,
 )
 from seqsurprise.costmodel import CostModel, DEFAULT_MODEL
-from seqsurprise.program import OpKind, replay
+from seqsurprise.program import Operation, OpKind, StmState, replay
 
 # Reference six-number rows and their costs under the default model,
 # frozen from hand-checked derivations (instantiate at rank cost, one
@@ -191,3 +197,78 @@ def test_custom_increment_set():
     assert prog.total_cost == pytest.approx(
         math.log2(4) + model.increment_cost(5))
     assert prog.ops[2].free
+
+
+def _rescan(toks, model, mirror):
+    """The scan without a pricing table: every fresh start rebuilds and
+    sorts all readings of its token.  Reference for the batch path."""
+    stm = StmState(model.stm_capacity)
+    ops, total = [], 0.0
+    for i, token in enumerate(toks):
+        move = None if i == 0 else explained_move(token, toks[i - 1], stm, model)
+        if move is None:
+            move = min(fresh_moves(token, model, first=i == 0),
+                       key=lambda m: (m.cost, m.order))
+        ops.extend(move.ops)
+        total += move.cost
+        for key in move.touches:
+            stm.touch(key)
+    n = len(toks)
+    if mirror and n >= 2 and n % 2 == 0 and toks == toks[::-1]:
+        half_ops, half_total = _rescan(toks[: n // 2], model, True)
+        if half_total + model.mirror_cost < total - 1e-12:
+            mirror_op = Operation(OpKind.MIRROR, (), model.mirror_cost)
+            return half_ops + [mirror_op], half_total + model.mirror_cost
+    return ops, total
+
+
+# small tokens repeat across the batch, as first tokens and later ones;
+# the doubled halves give mirrors
+batch_sequences = st.one_of(
+    st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=6),
+    st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=3)
+    .map(lambda half: half + half[::-1]),
+)
+
+
+@settings(max_examples=150)
+@given(st.lists(batch_sequences, min_size=1, max_size=8), cost_models,
+       cost_models, st.booleans(), st.randoms(use_true_random=False))
+def test_batch_prices_like_one_call_per_sequence(seqs, model, other, mirror, rnd):
+    rnd.shuffle(seqs)
+    # a batch under another model in between must not leak into the next
+    for m in (model, other, model):
+        batch = analyze_many(seqs, m, enable_mirror=mirror)
+        for seq, prog in zip(seqs, batch, strict=True):
+            alone = analyze(seq, m, enable_mirror=mirror)
+            ref_ops, ref_total = _rescan(tuple(seq), m, mirror)
+            assert prog.total_cost == alone.total_cost == ref_total
+            assert op_tuples(prog.ops) == op_tuples(alone.ops) == op_tuples(ref_ops)
+            assert prog.reconstructs == tuple(seq)
+
+
+def test_each_fresh_reading_is_priced_once_per_call(monkeypatch):
+    seqs = [[3, 3, 7, 5], [5, 3, 9, 5], [7, 10, 3], [1, 2, 2, 1],
+            [10, 44, 44, 10], [44, 10]] * 20
+    expected = [op_tuples(analyze(s, enable_mirror=True).ops) for s in seqs]
+    calls = Counter()
+    real = analyzer.fresh_moves
+
+    def counting(token, model, *, first, **kwargs):
+        calls[token, first] += 1
+        return real(token, model, first=first, **kwargs)
+
+    monkeypatch.setattr(analyzer, "fresh_moves", counting)
+    got = [op_tuples(p.ops) for p in analyze_many(seqs, enable_mirror=True)]
+    assert got == expected
+    # one pricing per distinct (token, first); rebuilding the readings at
+    # every fresh start priced 20 per repetition, 400 in all
+    assert set(calls.values()) == {1}
+    assert len(calls) == 13
+
+
+def test_batch_is_lazy_and_checks_each_sequence():
+    batch = analyze_many([[1, 2], [], [3]])
+    assert next(batch).total_cost == analyze([1, 2]).total_cost
+    with pytest.raises(ValueError):
+        next(batch)

@@ -1,7 +1,9 @@
 import argparse
 import io
 import json
+import os
 import re
+import signal
 import subprocess
 import sys
 
@@ -234,6 +236,8 @@ def test_experiment_mc_estimate(capsys):
 @pytest.mark.parametrize("option", [
     ["--tau", "nan", "--model", "complexity_weighted"],
     ["--mc-replications", "-3"],
+    ["--tau", "inf", "--model", "complexity_weighted"],
+    ["--tau=-inf", "--model", "complexity_weighted"],
 ])
 def test_experiment_rejects_invalid_option(option, capsys):
     code, out, err = run(capsys, ["lottery", "experiment", "--seed", "7",
@@ -241,7 +245,8 @@ def test_experiment_rejects_invalid_option(option, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert option[0].lstrip("-") in err
+    # "--tau=-inf": argparse would take a separate "-inf" for an option
+    assert option[0].lstrip("-").partition("=")[0] in err
 
 
 def test_experiment_csv_and_histogram_file(tmp_path, capsys):
@@ -309,3 +314,18 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "cost_bits=" in proc.stdout
+
+
+def test_closed_stdout_ends_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the child writes
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "seqsurprise", "lottery", "experiment",
+             "--seed", "7", "--format", "json"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
+    # killed by SIGPIPE (status 141 in a shell); 1 means an internal failure
+    assert proc.returncode == -signal.SIGPIPE

@@ -1,13 +1,18 @@
+import hashlib
 import math
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqsurprise import analyzer
 from seqsurprise.analyzer import analyze
 from seqsurprise.lottery import (
     COMPLEXITY_WEIGHTED,
+    UNIFORM,
     ChoiceModel,
     DEFAULT_FIXED_COMBINATIONS,
     ExperimentConfig,
@@ -177,6 +182,63 @@ def test_unreachable_threshold_falls_back_to_uniform():
     result = simulate_subjects(config)
     assert result.uniform_fallback
     assert sum(result.histogram.values()) == 10
+
+
+def test_simulation_prices_each_distinct_ticket_once(monkeypatch):
+    scans = Counter()
+    real = analyzer._scan
+
+    def counting(toks, *args):
+        scans[toks] += 1
+        return real(toks, *args)
+
+    monkeypatch.setattr(analyzer, "_scan", counting)
+    result = simulate_subjects(ExperimentConfig(seed=11, n_subjects=200))
+    # the ten fixed tickets sit on every bulletin: pricing each bulletin
+    # as it is drawn scans 200 * 14 + 10 tickets
+    assert set(scans.values()) == {1}
+    assert len(scans) <= 10 + 200 * 4
+    assert sum(result.histogram.values()) == 400
+
+
+def _digest(obj):
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+# Digests of every pick, its cost in bits, the histogram and the fallback
+# flag for 200 subjects (tau 7).  They pin the per-subject streams: the
+# order in which bulletins are drawn and priced must never change a pick.
+# The streams come from numpy's PCG64 Generator.
+EXPERIMENT_DIGESTS = {
+    (7, UNIFORM): "d71b19ae5263a857dcdf27e045945ea75d629695a7c6c5b2f5ea1a3d24dff571",
+    (7, COMPLEXITY_WEIGHTED):
+        "91d469e04d5073ef871a0b8d97190f6398b3ba25b47c70be383836a9eb963c7b",
+    (2011, UNIFORM): "7b379528144971bbe76b50ea007d9b5c8a4cabf3da62b268d59c66332f66a690",
+    (2011, COMPLEXITY_WEIGHTED):
+        "8f8930f80df8ade5ee5d66211c0908a3d66c8ae96410ea84fc06d2539c49dd7c",
+}
+RANK_DIGEST = "dccc99eccb24c747cc73cef78fc5b72a2bbe153e4071a4c773648c9797bb31dd"
+
+
+@pytest.mark.parametrize("seed,kind", sorted(EXPERIMENT_DIGESTS))
+def test_experiment_outcome_is_pinned(seed, kind):
+    config = ExperimentConfig(seed=seed, n_subjects=200,
+                              choice_model=ChoiceModel(kind=kind, tau=7.0))
+    result = simulate_subjects(config)
+    assert _digest((result.per_subject_choices, result.per_subject_chosen_bits,
+                    sorted(result.histogram.items()),
+                    result.uniform_fallback)) == EXPERIMENT_DIGESTS[seed, kind]
+
+
+def test_ranking_of_a_seeded_batch_is_pinned():
+    rng = random.Random(300)
+    tickets = []
+    for _ in range(300):
+        pool = list(range(1, 50))
+        tickets.append(LotteryCombination(
+            tuple(pool.pop(int(rng.random() * len(pool))) for _ in range(6))))
+    ranked = rank_combinations(tickets)
+    assert _digest([(c.numbers, bits) for c, bits in ranked]) == RANK_DIGEST
 
 
 def test_histogram_csv_layout():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import seqsurprise
 from brute_force import brute_force_min_cost
+from conftest import cost_models, op_tuples
 from seqsurprise import oracle
 from seqsurprise.analyzer import analyze, naive_cost
 from seqsurprise.costmodel import CostModel
@@ -22,18 +23,6 @@ from seqsurprise.program import OpKind, replay
 
 short_sequences = st.lists(st.integers(min_value=0, max_value=49),
                            min_size=1, max_size=5)
-charges = st.floats(min_value=0.0, max_value=4.0)
-cost_models = st.builds(
-    CostModel,
-    copy_cost=charges,
-    dup_cost=charges,
-    segment_start_cost=charges,
-    mirror_cost=charges,
-    zero_after_nine_cost=charges,
-    stm_capacity=st.integers(min_value=0, max_value=4),
-    allowed_increments=st.frozensets(st.integers(min_value=1, max_value=9),
-                                     min_size=1, max_size=3),
-)
 operator_sets = st.sampled_from([DEFAULT_OPERATORS, FULL_OPERATORS])
 # small tokens give copies, increments and 10/11/12 digit readings; the
 # doubled halves give mirrors
@@ -42,10 +31,6 @@ brute_sequences = st.one_of(
     st.lists(st.integers(min_value=0, max_value=49), min_size=1, max_size=3)
     .map(lambda half: half + half[::-1]),
 )
-
-
-def _op_tuples(ops):
-    return tuple((op.kind, op.args, op.charged_cost, op.free) for op in ops)
 
 
 def test_known_minima():
@@ -79,7 +64,7 @@ def test_witness_matches_unpruned_enumeration(seq, model, operators):
     cost, prog = oracle_min_cost(seq, model, SearchBudget(operators=operators))
     ref_cost, ref_ops = brute_force_min_cost(seq, model, operators)
     assert cost == ref_cost
-    assert _op_tuples(prog.ops) == _op_tuples(ref_ops)
+    assert op_tuples(prog.ops) == op_tuples(ref_ops)
 
 
 def test_each_position_is_priced_once_per_solve(monkeypatch):
