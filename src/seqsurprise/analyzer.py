@@ -20,13 +20,13 @@ is held, further uses are free.  Under the default capacity of 4 the
 three possible kinds never compete for slots, so each operator kind is
 charged at most once per sequence.
 
-A fresh start depends only on the token and on whether it opens the
-sequence, so :func:`analyze_many` keeps a table from ``(token, first)``
-to the cheapest of its :func:`fresh_moves` and prices each pair once per
-call, however many sequences of the batch share it.  The table is scoped
-to the call, never to the process: it holds moves for one cost model
-only, and it goes away with the iterator.  :func:`analyze` is a batch of
-one.
+How a token can be read depends only on the token, on whether it opens
+the sequence and on the step from the previous token, so one
+:class:`MoveTable` per call prices each ``(token, first)`` pair and each
+step once, for this scan and for the exact search in
+:mod:`seqsurprise.oracle` alike.  It is never kept for the process:
+:func:`analyze_many` builds one per batch and drops it with the
+iterator.  :func:`analyze` is a batch of one.
 """
 
 from __future__ import annotations
@@ -42,8 +42,6 @@ from .program import (
     StmState,
     stm_key,
 )
-
-Token = int
 
 # Digit reading names, in tie-break order.
 PATH_REPEAT = "repeat"
@@ -67,8 +65,7 @@ class Move:
 
     ops: tuple[Operation, ...]
     cost: Bits
-    touches: tuple = ()  # stm keys used by this move
-    order: int = 0  # tie-break rank; lower wins at equal cost
+    key: tuple | None = None  # stm key used by this move
 
 
 def split_readings(token: int, model: CostModel) -> list[tuple[str, Bits]]:
@@ -92,65 +89,83 @@ def split_readings(token: int, model: CostModel) -> list[tuple[str, Bits]]:
 
 def fresh_moves(token: int, model: CostModel, *, first: bool,
                 allow_split: bool = True) -> list[Move]:
-    """Ways to start a segment at this token, cheapest reading not chosen yet."""
+    """Ways to start a segment at this token, in canonical order: plain
+    instantiate, then the digit readings.  The first of equal costs wins."""
     seg_ops: tuple[Operation, ...] = ()
     seg_cost = 0.0
     if not first:
         seg_cost = model.segment_start_cost
         seg_ops = (Operation(OpKind.SEGMENT_START, (), seg_cost),)
-    moves = [
-        Move(
-            ops=seg_ops + (Operation(OpKind.INSTANTIATE, (token,),
-                                     number_complexity(token)),),
-            cost=seg_cost + number_complexity(token),
-            order=10,
-        )
-    ]
+    rank_bits = number_complexity(token)
+    moves = [Move(seg_ops + (Operation(OpKind.INSTANTIATE, (token,), rank_bits),),
+                  seg_cost + rank_bits)]
     if allow_split:
-        for rank, (path, bits) in enumerate(split_readings(token, model)):
-            moves.append(
-                Move(
-                    ops=seg_ops + (Operation(OpKind.SPLIT_DIGITS, (token, path), bits),),
-                    cost=seg_cost + bits,
-                    order=20 + rank,
-                ))
+        moves += [Move(seg_ops + (Operation(OpKind.SPLIT_DIGITS, (token, path), bits),),
+                       seg_cost + bits)
+                  for path, bits in split_readings(token, model)]
     return moves
 
 
-def explained_move(token: int, prev: int, stm: StmState,
-                   model: CostModel) -> Move | None:
-    """COPY or INCREMENT reading of this token, if one applies."""
-    if token == prev:
-        key = stm_key(OpKind.COPY)
-        charged = 0.0 if key in stm else model.copy_cost
-        op = Operation(OpKind.COPY, (), charged, free=charged == 0.0)
-        return Move(ops=(op,), cost=charged, touches=(key,), order=0)
+def explained_move(token: int, prev: int,
+                   model: CostModel) -> tuple[Move, Move] | None:
+    """COPY or INCREMENT reading of this token as a ``(charged, free)``
+    pair, if one applies; ``free`` is taken while its STM key is held."""
     step = token - prev
-    if step in model.allowed_increments:
-        key = stm_key(OpKind.INCREMENT, (step,))
-        charged = 0.0 if key in stm else model.increment_cost(step)
-        op = Operation(OpKind.INCREMENT, (step,), charged, free=charged == 0.0)
-        return Move(ops=(op,), cost=charged, touches=(key,), order=1)
-    return None
+    if step == 0:
+        kind, args, cost = OpKind.COPY, (), model.copy_cost
+    elif step in model.allowed_increments:
+        kind, args, cost = OpKind.INCREMENT, (step,), model.increment_cost(step)
+    else:
+        return None
+    key = stm_key(kind, args)
+    charged = Move((Operation(kind, args, cost, free=cost == 0.0),), cost, key)
+    free = Move((Operation(kind, args, 0.0, free=True),), 0.0, key)
+    return charged, free
 
 
-def _scan(toks: tuple[int, ...], model: CostModel,
-          cheapest: dict[tuple[int, bool], Move]) -> DescriptionProgram:
-    stm = StmState(model.stm_capacity)
+class MoveTable:
+    """One cost model's moves, each priced on first use.
+
+    ``fresh`` gives a ``(token, first)`` pair's fresh moves in canonical
+    order and the cheapest of them (``min`` keeps the first of equal
+    costs); ``explained`` gives the :func:`explained_move` pair of a step.
+    """
+
+    def __init__(self, model: CostModel, *, allow_split: bool = True) -> None:
+        self.model = model
+        self.allow_split = allow_split
+        self._fresh: dict[tuple[int, bool], tuple[tuple[Move, ...], Move]] = {}
+        self._steps: dict[int, tuple[Move, Move] | None] = {}
+
+    def fresh(self, token: int, first: bool) -> tuple[tuple[Move, ...], Move]:
+        entry = self._fresh.get((token, first))
+        if entry is None:
+            moves = tuple(fresh_moves(token, self.model, first=first,
+                                      allow_split=self.allow_split))
+            entry = self._fresh[token, first] = (moves, min(moves, key=lambda m: m.cost))
+        return entry
+
+    def explained(self, token: int, prev: int) -> tuple[Move, Move] | None:
+        step = token - prev
+        if step not in self._steps:
+            self._steps[step] = explained_move(token, prev, self.model)
+        return self._steps[step]
+
+
+def _scan(toks: tuple[int, ...], table: MoveTable) -> DescriptionProgram:
+    stm = StmState(table.model.stm_capacity)
     ops: list[Operation] = []
     total = 0.0
     for i, token in enumerate(toks):
-        first = i == 0
-        move = None if first else explained_move(token, toks[i - 1], stm, model)
-        if move is None:
-            move = cheapest.get((token, first))
-        if move is None:
-            move = cheapest[token, first] = min(fresh_moves(token, model, first=first),
-                                                key=lambda m: (m.cost, m.order))
+        pair = None if i == 0 else table.explained(token, toks[i - 1])
+        if pair is None:
+            move = table.fresh(token, i == 0)[1]
+        else:
+            charged, free = pair
+            move = free if charged.key in stm else charged
+            stm.touch(move.key)
         ops.extend(move.ops)
         total += move.cost
-        for key in move.touches:
-            stm.touch(key)
     return DescriptionProgram(tuple(ops), total, toks)
 
 
@@ -163,15 +178,15 @@ def naive_cost(seq: Sequence[int], model: CostModel = DEFAULT_MODEL) -> Bits:
     return total
 
 
-def _describe(toks: tuple[int, ...], model: CostModel, enable_mirror: bool,
-              cheapest: dict[tuple[int, bool], Move]) -> DescriptionProgram:
-    best = _scan(toks, model, cheapest)
+def _describe(toks: tuple[int, ...], table: MoveTable,
+              enable_mirror: bool) -> DescriptionProgram:
+    best = _scan(toks, table)
     n = len(toks)
     if enable_mirror and n >= 2 and n % 2 == 0 and toks == toks[::-1]:
-        half = _describe(toks[: n // 2], model, True, cheapest)
-        mirrored_total = half.total_cost + model.mirror_cost
+        half = _describe(toks[: n // 2], table, True)
+        mirrored_total = half.total_cost + table.model.mirror_cost
         if mirrored_total < best.total_cost - 1e-12:
-            ops = half.ops + (Operation(OpKind.MIRROR, (), model.mirror_cost),)
+            ops = half.ops + (Operation(OpKind.MIRROR, (), table.model.mirror_cost),)
             best = DescriptionProgram(ops, mirrored_total, toks)
     return best
 
@@ -180,14 +195,14 @@ def analyze_many(seqs: Iterable[Sequence[int]], model: CostModel = DEFAULT_MODEL
                  enable_mirror: bool = False) -> Iterator[DescriptionProgram]:
     """Describe each sequence in turn, lazily, as :func:`analyze` would.
 
-    The cheapest fresh reading of each ``(token, first)`` pair is priced
-    once per call and reused for every later sequence of the batch.  The
-    table lives only as long as the returned iterator, and no program is
-    kept after it is yielded.
+    Every move is priced once per call, in one :class:`MoveTable`, and
+    reused for every later sequence of the batch.  The table lives only
+    as long as the returned iterator, and no program is kept after it is
+    yielded.
     """
-    cheapest: dict[tuple[int, bool], Move] = {}
+    table = MoveTable(model)
     for seq in seqs:
-        yield _describe(check_sequence(seq), model, enable_mirror, cheapest)
+        yield _describe(check_sequence(seq), table, enable_mirror)
 
 
 def analyze(seq: Sequence[int], model: CostModel = DEFAULT_MODEL, *,

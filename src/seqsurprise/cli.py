@@ -4,9 +4,10 @@ Deterministic and scriptable: the same argv always produces the same
 bytes on stdout.  Each subcommand accepts only the options it honours:
 ``lottery bulletin`` takes no ``--config`` or ``--format``, and
 ``lottery refcheck`` prints json or plain only.  Exit codes: 0 success,
-2 bad usage (including an option the subcommand does not take) or
-unparsable input, 3 capability limit (exhaustive search on sequences
-longer than the supported size), 1 internal failure or a failed
+2 bad usage (including an option the subcommand does not take),
+unparsable input or a file that cannot be read or written, 3 capability
+limit (exhaustive search on sequences longer than the supported size or
+deeper than the recursion limit), 1 internal failure or a failed
 consistency check.  Run as a program (``entrypoint``), a stdout closed
 by its reader ends the process by SIGPIPE, shell status 141.
 """
@@ -44,7 +45,7 @@ from .oracle import (
     SearchBudget,
     oracle_min_cost,
 )
-from .program import ReplayError
+from .program import DescriptionProgram, ReplayError
 from .surprise import (
     ExpectationTemplate,
     FixedBits,
@@ -130,11 +131,26 @@ def _emit(record: dict, fmt: str, trace: tuple[str, ...] = ()) -> None:
         print(line)
 
 
-def _guard_oracle_length(n_tokens: int, allow_long: bool) -> None:
-    if n_tokens > SOFT_LENGTH_LIMIT and not allow_long:
+def _exact_search(tokens: list[int], model: CostModel,
+                  args: argparse.Namespace) -> tuple[float, DescriptionProgram]:
+    if len(tokens) > SOFT_LENGTH_LIMIT and not args.allow_long:
         raise CapabilityError(
             f"exhaustive search supports at most {SOFT_LENGTH_LIMIT} tokens "
-            f"(got {n_tokens}); pass --allow-long to override")
+            f"(got {len(tokens)}); pass --allow-long to override")
+    operators = FULL_OPERATORS if args.mirror else DEFAULT_OPERATORS
+    try:
+        return oracle_min_cost(tokens, model, SearchBudget(operators=operators))
+    except RecursionError:
+        raise CapabilityError(
+            f"exhaustive search of {len(tokens)} tokens is deeper than "
+            f"the recursion limit ({sys.getrecursionlimit()})") from None
+
+
+def _write_file(path: str, text: str) -> None:
+    try:
+        pathlib.Path(path).write_text(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path!r}: {exc}") from None
 
 
 def cmd_complexity(args: argparse.Namespace, model: CostModel) -> int:
@@ -146,10 +162,7 @@ def cmd_complexity(args: argparse.Namespace, model: CostModel) -> int:
         "n_ops": len(prog.ops),
     }
     if args.oracle:
-        _guard_oracle_length(len(tokens), args.allow_long)
-        operators = FULL_OPERATORS if args.mirror else DEFAULT_OPERATORS
-        oracle_bits, _ = oracle_min_cost(
-            tokens, model, SearchBudget(operators=operators))
+        oracle_bits, _ = _exact_search(tokens, model, args)
         record["oracle_bits"] = oracle_bits
         record["oracle_match"] = abs(oracle_bits - prog.total_cost) <= 1e-9
     _emit(record, args.format, prog.trace_lines() if args.trace else ())
@@ -158,9 +171,7 @@ def cmd_complexity(args: argparse.Namespace, model: CostModel) -> int:
 
 def cmd_oracle(args: argparse.Namespace, model: CostModel) -> int:
     tokens = _parse_tokens(args.tokens)
-    _guard_oracle_length(len(tokens), args.allow_long)
-    operators = FULL_OPERATORS if args.mirror else DEFAULT_OPERATORS
-    cost, prog = oracle_min_cost(tokens, model, SearchBudget(operators=operators))
+    cost, prog = _exact_search(tokens, model, args)
     record = {"tokens": tokens, "cost_bits": cost, "n_ops": len(prog.ops)}
     _emit(record, args.format, prog.trace_lines() if args.trace else ())
     return 0
@@ -245,7 +256,7 @@ def cmd_lottery_bulletin(args: argparse.Namespace, model: CostModel) -> int:
     config = ExperimentConfig(seed=args.seed, n_random=args.n_random)
     text = format_bulletin(generate_bulletin(config))
     if args.out:
-        pathlib.Path(args.out).write_text(text)
+        _write_file(args.out, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -275,7 +286,7 @@ def cmd_lottery_experiment(args: argparse.Namespace, model: CostModel) -> int:
             n_replications=args.mc_replications, seed=args.seed)
         summary["mc_replications"] = args.mc_replications
     if args.histogram_csv:
-        pathlib.Path(args.histogram_csv).write_text(result.histogram_csv())
+        _write_file(args.histogram_csv, result.histogram_csv())
     if args.format == "json":
         print(json.dumps(summary, sort_keys=True, indent=2))
     elif args.format == "csv":

@@ -7,13 +7,17 @@ memory state the analyzer uses, and returns the cheapest valid program.
 Branch and bound against the running best keeps the search cheap at the
 documented soft limit of 8 tokens; beyond that the tree grows quickly.
 
-Each position's readings are priced once per solve, before the search
-starts: its COPY/INCREMENT reading (charged and free, chosen at each
-node by whether its short-term memory key is held), its mirror move and
-its fresh moves.  That removes the per-node repricing but not a single
-node: the tree, and so its exponential growth, is unchanged, which is
-why ``SOFT_LENGTH_LIMIT`` stays and the command line interface still
-needs ``--allow-long`` (or exits 3) past it.
+Each solve reads its moves from one ``MoveTable``, the table the
+analyzer's scan reads: each position's COPY/INCREMENT reading as a
+``(charged, free)`` pair (chosen at each node by whether its short-term
+memory key is held), its mirror move and its fresh moves, so each
+distinct token and step is priced once per solve.  That removes the
+per-node repricing but not a single node: the tree, and so its
+exponential growth, is unchanged, which is why ``SOFT_LENGTH_LIMIT``
+stays and the command line interface still needs ``--allow-long`` (or
+exits 3) past it.  The search recurses once per emitted token, so a
+sequence longer than Python's recursion limit raises ``RecursionError``;
+the command line interface reports that as a capability limit too.
 
 Ties are broken toward the lexicographically smallest operation stream:
 candidates are expanded in canonical order (copy, increment by rising
@@ -32,9 +36,8 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
 
-from .analyzer import Move, check_sequence, explained_move, fresh_moves
+from .analyzer import Move, MoveTable, check_sequence
 from .costmodel import Bits, CostModel, DEFAULT_MODEL
 from .program import DescriptionProgram, Operation, OpKind, StmState
 
@@ -55,48 +58,6 @@ class SearchBudget:
     operators: frozenset[OpKind] = DEFAULT_OPERATORS
 
 
-class _Readings(NamedTuple):
-    """One position's moves, built once per solve.
-
-    ``charged`` and ``free`` are the COPY/INCREMENT reading with its STM
-    ``key`` not held and held; all three are None when no such reading
-    applies or the budget excludes it.  ``rest`` holds the mirror move,
-    if one applies, then the fresh moves, in canonical order.
-    """
-
-    key: tuple | None
-    charged: Move | None
-    free: Move | None
-    rest: tuple[Move, ...]
-
-
-def _reading_table(toks: tuple[int, ...], model: CostModel,
-                   budget: SearchBudget) -> list[_Readings]:
-    allow_split = OpKind.SPLIT_DIGITS in budget.operators
-    mirror = None
-    if OpKind.MIRROR in budget.operators:
-        mirror = Move(ops=(Operation(OpKind.MIRROR, (), model.mirror_cost),),
-                      cost=model.mirror_cost, order=5)
-    table: list[_Readings] = []
-    for pos, token in enumerate(toks):
-        key = charged = free = None
-        rest: list[Move] = []
-        if pos > 0:
-            prev = toks[pos - 1]
-            explained = explained_move(token, prev, StmState(model.stm_capacity), model)
-            if explained is not None and explained.ops[0].kind in budget.operators:
-                key, charged = explained.touches[0], explained
-                held = StmState(model.stm_capacity, [key])
-                free = explained_move(token, prev, held, model)
-            # A mirror emits the reversal of everything produced so far.
-            if (mirror is not None and pos + pos <= len(toks)
-                    and toks[pos: pos + pos] == toks[:pos][::-1]):
-                rest.append(mirror)
-        rest.extend(fresh_moves(token, model, first=pos == 0, allow_split=allow_split))
-        table.append(_Readings(key, charged, free, tuple(rest)))
-    return table
-
-
 def oracle_min_cost(seq: Sequence[int], model: CostModel = DEFAULT_MODEL,
                     budget: SearchBudget | None = None
                     ) -> tuple[Bits, DescriptionProgram]:
@@ -108,7 +69,21 @@ def oracle_min_cost(seq: Sequence[int], model: CostModel = DEFAULT_MODEL,
     interface refuses them instead.
     """
     toks = check_sequence(seq)
-    table = _reading_table(toks, model, budget or SearchBudget())
+    operators = (budget or SearchBudget()).operators
+    table = MoveTable(model, allow_split=OpKind.SPLIT_DIGITS in operators)
+    mirror = Move((Operation(OpKind.MIRROR, (), model.mirror_cost),), model.mirror_cost)
+    # Per position: the COPY/INCREMENT pair the budget allows, and the
+    # mirror move, if it applies, followed by the fresh moves.
+    steps: list[tuple[Move, Move] | None] = [None]
+    rest = [table.fresh(toks[0], True)[0]]
+    for pos in range(1, len(toks)):
+        pair = table.explained(toks[pos], toks[pos - 1])
+        steps.append(pair if pair is not None and pair[0].ops[0].kind in operators else None)
+        moves = table.fresh(toks[pos], False)[0]
+        # A mirror emits the reversal of everything produced so far.
+        if OpKind.MIRROR in operators and toks[pos: pos + pos] == toks[:pos][::-1]:
+            moves = (mirror,) + moves
+        rest.append(moves)
     best_cost = math.inf
     best_ops: tuple[Operation, ...] = ()
 
@@ -120,14 +95,15 @@ def oracle_min_cost(seq: Sequence[int], model: CostModel = DEFAULT_MODEL,
             best_cost = acc
             best_ops = tuple(ops)
             return
-        slot, charged, free, rest = table[pos]
-        if slot is not None:
-            rest = (free if slot in stm else charged,) + rest
-        for move in rest:
+        moves = rest[pos]
+        if steps[pos] is not None:
+            charged, free = steps[pos]
+            moves = (free if charged.key in stm else charged,) + moves
+        for move in moves:
             emitted = pos if move.ops[-1].kind is OpKind.MIRROR else 1
             child = StmState(stm.capacity, list(stm.slots))
-            for key in move.touches:
-                child.touch(key)
+            if move.key is not None:
+                child.touch(move.key)
             ops.extend(move.ops)
             search(pos + emitted, acc + move.cost, child, ops)
             del ops[len(ops) - len(move.ops):]

@@ -22,10 +22,6 @@ class OpKind(enum.Enum):
     SEGMENT_START = "SEGMENT_START"
 
 
-# Kinds that occupy short-term memory slots and become free on reuse.
-STM_KINDS = (OpKind.COPY, OpKind.INCREMENT)
-
-
 @dataclass(frozen=True)
 class Operation:
     """One step of a description.

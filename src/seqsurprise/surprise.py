@@ -41,8 +41,8 @@ class FixedBits:
     value: Bits
 
     def __post_init__(self) -> None:
-        if math.isnan(self.value) or self.value < 0.0:
-            raise ValueError(f"expected bits must be >= 0, got {self.value!r}")
+        if not math.isfinite(self.value) or self.value < 0.0:
+            raise ValueError(f"expected bits must be finite and >= 0, got {self.value!r}")
 
 
 @dataclass(frozen=True)

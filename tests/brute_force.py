@@ -21,12 +21,13 @@ def _moves(toks: tuple[int, ...], pos: int, stm: StmState, model: CostModel,
            operators: frozenset[OpKind]) -> list[Move]:
     moves: list[Move] = []
     if pos > 0:
-        explained = explained_move(toks[pos], toks[pos - 1], stm, model)
-        if explained is not None and explained.ops[0].kind in operators:
-            moves.append(explained)
+        pair = explained_move(toks[pos], toks[pos - 1], model)
+        if pair is not None and pair[0].ops[0].kind in operators:
+            charged, free = pair
+            moves.append(free if charged.key in stm else charged)
         if OpKind.MIRROR in operators and toks[pos: 2 * pos] == toks[:pos][::-1]:
             moves.append(Move(ops=(Operation(OpKind.MIRROR, (), model.mirror_cost),),
-                              cost=model.mirror_cost, order=5))
+                              cost=model.mirror_cost))
     moves.extend(fresh_moves(toks[pos], model, first=pos == 0,
                              allow_split=OpKind.SPLIT_DIGITS in operators))
     return moves
@@ -48,8 +49,8 @@ def brute_force_min_cost(seq: list[int], model: CostModel,
             return
         for move in _moves(toks, pos, stm, model, operators):
             child = StmState(stm.capacity, list(stm.slots))
-            for key in move.touches:
-                child.touch(key)
+            if move.key is not None:
+                child.touch(move.key)
             emitted = pos if move.ops[-1].kind is OpKind.MIRROR else 1
             walk(pos + emitted, acc + move.cost, child, ops + move.ops)
 

@@ -200,19 +200,20 @@ def test_custom_increment_set():
 
 
 def _rescan(toks, model, mirror):
-    """The scan without a pricing table: every fresh start rebuilds and
-    sorts all readings of its token.  Reference for the batch path."""
+    """The scan without a move table: every token rebuilds its readings.
+    Reference for the batch path."""
     stm = StmState(model.stm_capacity)
     ops, total = [], 0.0
     for i, token in enumerate(toks):
-        move = None if i == 0 else explained_move(token, toks[i - 1], stm, model)
-        if move is None:
-            move = min(fresh_moves(token, model, first=i == 0),
-                       key=lambda m: (m.cost, m.order))
+        pair = None if i == 0 else explained_move(token, toks[i - 1], model)
+        if pair is None:
+            move = min(fresh_moves(token, model, first=i == 0), key=lambda m: m.cost)
+        else:
+            charged, free = pair
+            move = free if charged.key in stm else charged
+            stm.touch(move.key)
         ops.extend(move.ops)
         total += move.cost
-        for key in move.touches:
-            stm.touch(key)
     n = len(toks)
     if mirror and n >= 2 and n % 2 == 0 and toks == toks[::-1]:
         half_ops, half_total = _rescan(toks[: n // 2], model, True)
@@ -265,6 +266,26 @@ def test_each_fresh_reading_is_priced_once_per_call(monkeypatch):
     # every fresh start priced 20 per repetition, 400 in all
     assert set(calls.values()) == {1}
     assert len(calls) == 13
+
+
+def test_each_step_is_priced_once_per_call(monkeypatch):
+    seqs = [[3, 3, 4, 6, 6], [5, 6, 8, 8, 1], [1, 2, 2, 1],
+            [10, 44, 44, 10], [9, 9]] * 20
+    expected = [op_tuples(analyze(s, enable_mirror=True).ops) for s in seqs]
+    calls = Counter()
+    real = analyzer.explained_move
+
+    def counting(token, prev, model):
+        calls[token - prev] += 1
+        return real(token, prev, model)
+
+    monkeypatch.setattr(analyzer, "explained_move", counting)
+    got = [op_tuples(p.ops) for p in analyze_many(seqs, enable_mirror=True)]
+    assert got == expected
+    # one reading per distinct step, applicable or not; building it at
+    # every token made 17 per repetition, 340 in all
+    assert set(calls.values()) == {1}
+    assert sorted(calls) == [-34, -7, -1, 0, 1, 2, 34]
 
 
 def test_batch_is_lazy_and_checks_each_sequence():

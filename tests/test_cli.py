@@ -82,6 +82,15 @@ def test_oracle_length_capability_limit(capsys):
     assert "cost_bits=2\n" in out
 
 
+@pytest.mark.parametrize("command", [["oracle"], ["complexity", "--oracle"]])
+def test_search_deeper_than_the_recursion_limit_is_a_capability_error(command, capsys):
+    # the search recurses once per token; 1,500 is past Python's default limit
+    code, out, err = run(capsys, command + ["0"] * 1500 + ["--allow-long"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_unhonoured_options_are_usage_errors(tmp_path, capsys):
     bad_cfg = tmp_path / "bad.cfg"
     bad_cfg.write_text("not a config\n")
@@ -129,6 +138,16 @@ def test_surprise_bad_template(capsys):
     assert "template" in err
     code, _, _ = run(capsys, ["surprise", "33333", "--template", "poisson:3"])
     assert code == 2
+
+
+@pytest.mark.parametrize("bits", ["inf", "nan"])
+def test_surprise_rejects_non_finite_fixed_template(bits, capsys):
+    # json.dumps would print Infinity or NaN, which is not valid JSON
+    code, out, err = run(capsys, ["surprise", "1", "2", "3", "--template",
+                                  f"fixed:{bits}", "--format", "json"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_config_file_changes_costs(tmp_path, capsys):
@@ -247,6 +266,19 @@ def test_experiment_rejects_invalid_option(option, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     # "--tau=-inf": argparse would take a separate "-inf" for an option
     assert option[0].lstrip("-").partition("=")[0] in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["lottery", "bulletin", "--seed", "1", "--out", "{missing}/bulletin.txt"],
+    ["lottery", "experiment", "--seed", "4", "--histogram-csv", "{missing}/h.csv"],
+])
+def test_unwritable_output_file_is_usage_error(argv, tmp_path, capsys):
+    missing = tmp_path / "no-such-dir"
+    code, out, err = run(capsys, [a.format(missing=missing) for a in argv])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(missing) in err
 
 
 def test_experiment_csv_and_histogram_file(tmp_path, capsys):

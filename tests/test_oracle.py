@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 import seqsurprise
 from brute_force import brute_force_min_cost
 from conftest import cost_models, op_tuples
-from seqsurprise import oracle
+from seqsurprise import analyzer, oracle
 from seqsurprise.analyzer import analyze, naive_cost
 from seqsurprise.costmodel import CostModel
 from seqsurprise.oracle import (
@@ -68,21 +69,25 @@ def test_witness_matches_unpruned_enumeration(seq, model, operators):
 
 
 def test_each_position_is_priced_once_per_solve(monkeypatch):
-    calls = 0
-    real = oracle.fresh_moves
+    calls = Counter()
+    real = analyzer.fresh_moves
 
-    def counting(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return real(*args, **kwargs)
+    def counting(token, model, *, first, **kwargs):
+        calls[token, first] += 1
+        return real(token, model, first=first, **kwargs)
 
     seq = [11, 22, 33, 44] * 3
-    monkeypatch.setattr(oracle, "fresh_moves", counting)
-    cost, prog = oracle_min_cost(seq, budget=SearchBudget(operators=FULL_OPERATORS))
-    # one call per position; the per-node rebuild made thousands
-    assert calls == len(seq)
-    assert cost == pytest.approx(43.72067178682555)
-    assert replay(prog) == seq
+    monkeypatch.setattr(analyzer, "fresh_moves", counting)
+    budget = SearchBudget(operators=FULL_OPERATORS)
+    for _ in range(2):
+        calls.clear()
+        cost, prog = oracle_min_cost(seq, budget=budget)
+        # one call per distinct (token, first) in each solve: 11 first and
+        # 11, 22, 33, 44 later; the per-node rebuild made thousands
+        assert set(calls.values()) == {1}
+        assert len(calls) == 5
+        assert cost == pytest.approx(43.72067178682555)
+        assert replay(prog) == seq
 
 
 @settings(max_examples=150)
