@@ -15,11 +15,15 @@ import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .analyzer import analyze, analyze_many
 from .costmodel import Bits, CostModel, DEFAULT_MODEL
+
+# Only the functions that draw random numbers import numpy, so that
+# commands which only price tickets start without loading it.
+if TYPE_CHECKING:
+    import numpy as np
 
 POOL_SIZE = 49
 COMBINATION_LENGTH = 6
@@ -186,6 +190,12 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.n_random < 0 or self.n_choices_per_subject < 0 or self.n_subjects < 0:
             raise ValueError("experiment sizes must be nonnegative")
+        # More draws than tickets left would only end after a long futile search.
+        free = math.comb(POOL_SIZE, COMBINATION_LENGTH) - len(self.fixed_combinations)
+        if self.n_random > free:
+            raise ValueError(
+                f"cannot draw {self.n_random} distinct random combinations: "
+                f"only {free} are not fixed")
         total = len(self.fixed_combinations) + self.n_random
         if self.n_choices_per_subject > total:
             raise ValueError(
@@ -227,6 +237,7 @@ class ExperimentResult:
 
 def _subject_rng(seed: int, subject: int) -> np.random.Generator:
     # One documented stream per subject: PCG64 seeded by (seed, subject).
+    import numpy as np
     return np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(entropy=seed, spawn_key=(subject,))))
 
@@ -246,6 +257,7 @@ def generate_bulletin(config: ExperimentConfig,
     bounded number of attempts.
     """
     if rng is None:
+        import numpy as np
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
     seen = {combo.numbers for combo in config.fixed_combinations}
     if len(seen) != len(config.fixed_combinations):
@@ -372,6 +384,7 @@ def avoidance_probability_mc(n_total: int, n_choices: int, n_avoided: int,
     if n_replications < 1:
         raise ValueError("n_replications must be >= 1")
     avoidance_probability(n_total, n_choices, n_avoided, n_subjects)  # validate args
+    import numpy as np
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     hits = 0
     if n_choices == 2:
@@ -380,8 +393,10 @@ def avoidance_probability_mc(n_total: int, n_choices: int, n_avoided: int,
             m = min(_MC_CHUNK, remaining)
             a = rng.integers(0, n_total, size=(m, n_subjects), dtype=np.int16)
             b = rng.integers(0, n_total - 1, size=(m, n_subjects), dtype=np.int16)
-            b = b + (b >= a)  # second pick distinct from the first
-            avoided = (a >= n_avoided) & (b >= n_avoided)
+            # In place: fewer chunk-sized temporaries, so a lower memory peak.
+            b += b >= a  # second pick distinct from the first
+            avoided = a >= n_avoided
+            avoided &= b >= n_avoided
             hits += int(avoided.all(axis=1).sum())
             remaining -= m
     else:

@@ -14,11 +14,13 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .analyzer import analyze, analyze_many
 from .costmodel import Bits, CostModel, DEFAULT_MODEL
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DIGIT_CHOICE_BITS = math.log2(10.0)
 
@@ -68,6 +70,7 @@ def expected_complexity(template: ExpectationTemplate,
     if isinstance(template, FixedBits):
         return template.value
     if isinstance(template, MonteCarloPool):
+        import numpy as np  # loaded only when a pool is sampled
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(template.seed)))
         samples = (template.sampler(rng) for _ in range(template.n_samples))
         total = 0.0

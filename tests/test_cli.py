@@ -20,6 +20,23 @@ SURPRISE_GOLDEN = (
     "u=13.2877123795\n"
 )
 
+BULLETIN_SEED_1 = (
+    "2 8 21 24 35 45\n"
+    "7 8 9 37 38 39\n"
+    "13 19 20 32 39 47\n"
+    "6 10 18 19 25 43\n"
+    "10 20 30 31 32 33\n"
+    "34 35 36 37 38 39\n"
+    "6 17 21 28 37 42\n"
+    "10 11 12 44 45 46\n"
+    "5 11 22 27 33 46\n"
+    "8 9 26 27 28 29\n"
+    "1 2 3 4 5 6\n"
+    "16 22 25 37 38 39\n"
+    "14 24 36 38 42 44\n"
+    "1 2 5 6 15 49\n"
+)
+
 
 def run(capsys, argv):
     code = main(argv)
@@ -193,7 +210,7 @@ def test_bulletin_requires_seed_and_is_reproducible(tmp_path, capsys):
     assert out_a.read_bytes() == out_b.read_bytes()
     code, stdout, _ = run(capsys, ["lottery", "bulletin", "--seed", "1"])
     assert code == 0
-    assert stdout == out_a.read_text()
+    assert stdout == out_a.read_text() == BULLETIN_SEED_1
 
 
 def test_rank_reads_stdin(monkeypatch, capsys):
@@ -266,6 +283,18 @@ def test_experiment_rejects_invalid_option(option, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     # "--tau=-inf": argparse would take a separate "-inf" for an option
     assert option[0].lstrip("-").partition("=")[0] in err
+
+
+@pytest.mark.parametrize("command", [["bulletin"], ["experiment", "--format", "json"]])
+def test_impossible_bulletin_size_is_usage_error(command, capsys):
+    # more random tickets than 6-of-49 holds beside the fixed ones: refused at
+    # once, before any search for distinct draws
+    code, out, err = run(capsys, ["lottery"] + command
+                         + ["--seed", "5", "--n-random", "100000000"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "100000000" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -346,6 +375,49 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "cost_bits=" in proc.stdout
+
+
+# The probe runs in a fresh interpreter, because this one has loaded numpy.
+NUMPY_PROBE = """\
+import sys
+from seqsurprise import MonteCarloPool, expected_complexity
+from seqsurprise.cli import main
+{call}
+print("numpy" in sys.modules, file=sys.stderr)
+"""
+
+
+# name: (statement run after the import, whether numpy must then be loaded)
+NUMPY_CASES = {
+    "import": ("pass", False),
+    "complexity": ("assert main(['complexity', '1', '2', '3', '4', '5', '6', "
+                   "'--oracle', '--mirror']) == 0", False),
+    "oracle": ("assert main(['oracle', '7', '7', '8']) == 0", False),
+    "surprise-number": ("assert main(['surprise', '33333']) == 0", False),
+    "surprise-kdigit": ("assert main(['surprise', '1', '2', '3', "
+                        "'--template', 'kdigit:3']) == 0", False),
+    "surprise-fixed": ("assert main(['surprise', '1', '2', '3', "
+                       "'--template', 'fixed:12']) == 0", False),
+    "lottery-rank": ("assert main(['lottery', 'rank', {combos!r}]) == 0", False),
+    "lottery-refcheck": ("assert main(['lottery', 'refcheck']) == 0", False),
+    "lottery-bulletin": ("assert main(['lottery', 'bulletin', '--seed', '1']) == 0", True),
+    "lottery-experiment": ("assert main(['lottery', 'experiment', '--seed', '1', "
+                           "'--subjects', '3']) == 0", True),
+    "monte-carlo-pool": ("assert expected_complexity(MonteCarloPool("
+                         "lambda rng: [int(rng.integers(10))], n_samples=2, seed=0)) > 0",
+                         True),
+}
+
+
+@pytest.mark.parametrize("call,loads_numpy", NUMPY_CASES.values(), ids=NUMPY_CASES)
+def test_numpy_loads_only_for_draws(call, loads_numpy, tmp_path):
+    combos = tmp_path / "combos.txt"
+    combos.write_text("1 2 3 4 5 6\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE.format(call=call.format(combos=str(combos)))],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == f"{loads_numpy}\n"
 
 
 def test_closed_stdout_ends_without_traceback():

@@ -95,9 +95,21 @@ def test_default_fixed_combinations_shape():
     assert len({c.numbers for c in DEFAULT_FIXED_COMBINATIONS}) == 10
 
 
+# The bulletin that seed 11 draws, in order.  It pins the PCG64 stream
+# ``generate_bulletin`` builds by default: draws and shuffle alike.
+SEED_11_BULLETIN = [
+    (7, 14, 21, 24, 32, 48), (8, 9, 26, 27, 28, 29), (34, 35, 36, 37, 38, 39),
+    (21, 24, 30, 40, 42, 45), (7, 8, 9, 37, 38, 39), (10, 20, 30, 31, 32, 33),
+    (1, 2, 5, 6, 15, 49), (6, 17, 21, 28, 37, 42), (5, 11, 22, 27, 33, 46),
+    (10, 11, 12, 44, 45, 46), (1, 2, 3, 4, 5, 6), (4, 7, 25, 26, 37, 41),
+    (14, 24, 36, 38, 42, 44), (6, 24, 29, 30, 37, 45),
+]
+
+
 def test_generate_bulletin_contract():
     config = ExperimentConfig(seed=11)
     bulletin = generate_bulletin(config)
+    assert [c.numbers for c in bulletin] == SEED_11_BULLETIN
     assert len(bulletin) == 14
     assert len({c.numbers for c in bulletin}) == 14
     assert generate_bulletin(config) == bulletin
@@ -122,6 +134,14 @@ def test_experiment_config_validation():
         ExperimentConfig(n_subjects=-1)
     with pytest.raises(ValueError):
         ExperimentConfig(n_choices_per_subject=15)  # bulletin only holds 14
+    # every ticket not in the fixed set may be drawn, and no more
+    tickets = math.comb(49, 6)
+    assert ExperimentConfig(n_random=tickets - 10).n_random == tickets - 10
+    assert ExperimentConfig(fixed_combinations=(), n_random=tickets).n_random == tickets
+    with pytest.raises(ValueError, match="only 13983806 are not fixed"):
+        ExperimentConfig(n_random=tickets - 9)
+    with pytest.raises(ValueError):
+        ExperimentConfig(fixed_combinations=(), n_random=tickets + 1)
 
 
 def test_choice_model_weights():
@@ -286,6 +306,7 @@ def test_avoidance_mc_agrees_with_exact_two_choice():
     estimate = avoidance_probability_mc(14, 2, 2, 26, n_replications=200_000, seed=11)
     se = math.sqrt(EXACT_AVOIDANCE * (1 - EXACT_AVOIDANCE) / 200_000)
     assert abs(estimate - EXACT_AVOIDANCE) <= 4 * se
+    assert estimate == 44 / 200_000  # pins the estimate's PCG64 stream
 
 
 def test_avoidance_mc_generic_path():
