@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .analyzer import analyze, analyze_many
@@ -27,7 +26,10 @@ if TYPE_CHECKING:
 
 POOL_SIZE = 49
 COMBINATION_LENGTH = 6
-# Replications drawn per vectorized Monte-Carlo batch; bounds its memory.
+# Replications drawn per vectorized Monte-Carlo batch.  It bounds the
+# memory of a batch to two arrays of _MC_CHUNK x n_subjects draws (int16
+# up to 2**15 entries), and it decides where the draws are split, so
+# changing it changes the estimates.
 _MC_CHUNK = 100_000
 
 
@@ -243,8 +245,8 @@ def _subject_rng(seed: int, subject: int) -> np.random.Generator:
 
 
 def _draw_random_combination(rng: np.random.Generator) -> LotteryCombination:
-    picks = rng.choice(POOL_SIZE, size=COMBINATION_LENGTH, replace=False) + 1
-    return LotteryCombination(tuple(int(n) for n in picks))
+    picks = rng.choice(POOL_SIZE, size=COMBINATION_LENGTH, replace=False).tolist()
+    return LotteryCombination(tuple(n + 1 for n in picks))
 
 
 def generate_bulletin(config: ExperimentConfig,
@@ -274,7 +276,7 @@ def generate_bulletin(config: ExperimentConfig,
             continue
         seen.add(combo.numbers)
         bulletin.append(combo)
-    order = rng.permutation(len(bulletin))
+    order = rng.permutation(len(bulletin)).tolist()
     return [bulletin[i] for i in order]
 
 
@@ -359,17 +361,17 @@ def avoidance_probability(n_total: int, n_choices: int, n_avoided: int,
     """Chance that every subject's uniform picks miss the marked entries.
 
     Exact closed form: [C(n_total - n_avoided, n_choices) /
-    C(n_total, n_choices)] ** n_subjects, evaluated as a rational before
-    conversion to float.
+    C(n_total, n_choices)] ** n_subjects.  Both powers are computed as
+    integers and divided once, which Python rounds correctly to the
+    nearest float.
     """
     if min(n_total, n_choices, n_avoided, n_subjects) < 0:
         raise ValueError("all arguments must be nonnegative")
     if n_choices + n_avoided > n_total:
         raise ValueError(
             f"cannot choose {n_choices} while avoiding {n_avoided} among {n_total}")
-    single = Fraction(math.comb(n_total - n_avoided, n_choices),
-                      math.comb(n_total, n_choices))
-    return float(single ** n_subjects)
+    return (math.comb(n_total - n_avoided, n_choices) ** n_subjects
+            / math.comb(n_total, n_choices) ** n_subjects)
 
 
 def avoidance_probability_mc(n_total: int, n_choices: int, n_avoided: int,
@@ -378,8 +380,17 @@ def avoidance_probability_mc(n_total: int, n_choices: int, n_avoided: int,
 
     Each replication draws, for every subject, ``n_choices`` distinct
     uniform picks out of ``n_total`` and checks that none hits the
-    ``n_avoided`` marked entries.  The two-choice case is vectorized;
-    other sizes run through a plain loop.
+    ``n_avoided`` marked entries (the entries ``0 .. n_avoided - 1``).
+    Other sizes than two choices run through a plain loop.
+
+    The two-choice case is vectorized.  A subject draws ``a`` from
+    ``n_total`` entries and ``b`` from the ``n_total - 1`` left, and picks
+    ``b + (b >= a)`` second.  Once ``a >= n_avoided`` that shift cannot
+    lift a marked ``b`` past ``n_avoided``, so the subject misses the
+    marked entries exactly when ``min(a, b) >= n_avoided``, and a
+    replication counts when that minimum over all its subjects, started
+    at ``n_avoided`` so that a replication without subjects counts, is
+    still ``n_avoided``.
     """
     if n_replications < 1:
         raise ValueError("n_replications must be >= 1")
@@ -388,16 +399,17 @@ def avoidance_probability_mc(n_total: int, n_choices: int, n_avoided: int,
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     hits = 0
     if n_choices == 2:
+        # int16 holds the draws, and so fixes the streams, of every bulletin
+        # up to 2**15 entries; larger ones need a wider type.
+        dtype = (np.int16 if n_total <= 2**15
+                 else np.int32 if n_total <= 2**31 else np.int64)
         remaining = n_replications
         while remaining > 0:
             m = min(_MC_CHUNK, remaining)
-            a = rng.integers(0, n_total, size=(m, n_subjects), dtype=np.int16)
-            b = rng.integers(0, n_total - 1, size=(m, n_subjects), dtype=np.int16)
-            # In place: fewer chunk-sized temporaries, so a lower memory peak.
-            b += b >= a  # second pick distinct from the first
-            avoided = a >= n_avoided
-            avoided &= b >= n_avoided
-            hits += int(avoided.all(axis=1).sum())
+            a = rng.integers(0, n_total, size=(m, n_subjects), dtype=dtype)
+            b = rng.integers(0, n_total - 1, size=(m, n_subjects), dtype=dtype)
+            np.minimum(a, b, out=a)
+            hits += int(np.count_nonzero(a.min(axis=1, initial=n_avoided) == n_avoided))
             remaining -= m
     else:
         for _ in range(n_replications):

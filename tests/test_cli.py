@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -260,6 +261,19 @@ def test_experiment_weighted_gate(capsys):
     assert obj["all_subjects_avoided_simplest"] is True
 
 
+# SHA-256 of the stdout of a weighted 200-subject experiment with a
+# Monte-Carlo estimate: every PCG64 stream the command draws feeds it.
+EXPERIMENT_STDOUT_DIGEST = "1f030de3edaed016a647eaa6c877c5d3fcd5f7bcf9886c8c806169ae76f961c0"
+
+
+def test_experiment_stdout_is_pinned(capsys):
+    code, out, _ = run(capsys, ["lottery", "experiment", "--seed", "7", "--subjects", "200",
+                                "--model", "complexity_weighted",
+                                "--mc-replications", "20000", "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EXPERIMENT_STDOUT_DIGEST
+
+
 def test_experiment_mc_estimate(capsys):
     code, out, _ = run(capsys, ["lottery", "experiment", "--seed", "3",
                                 "--mc-replications", "50000", "--format", "json"])
@@ -418,6 +432,16 @@ def test_numpy_loads_only_for_draws(call, loads_numpy, tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == f"{loads_numpy}\n"
+
+
+def test_import_loads_no_rational_arithmetic():
+    # avoidance_probability divides two integers: no Fraction, no Decimal
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, seqsurprise.cli; "
+         "print(sorted({'decimal', 'fractions'} & sys.modules.keys()))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_closed_stdout_ends_without_traceback():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from seqsurprise import analyzer
 from seqsurprise.analyzer import analyze
 from seqsurprise.lottery import (
+    _MC_CHUNK,
     COMPLEXITY_WEIGHTED,
     UNIFORM,
     ChoiceModel,
@@ -302,6 +303,20 @@ def test_avoidance_probability_monotone(n_total, n_choices, n_avoided, n_subject
     assert 0.0 <= p <= 1.0
 
 
+@settings(max_examples=200)
+@given(st.integers(min_value=0, max_value=60),
+       st.integers(min_value=0, max_value=6),
+       st.integers(min_value=0, max_value=10),
+       st.integers(min_value=0, max_value=5_000))
+def test_avoidance_probability_matches_rational(n_total, n_choices, n_avoided, n_subjects):
+    # reference: the ratio as an exact rational, rounded to float once
+    if n_choices + n_avoided > n_total:
+        return
+    single = Fraction(math.comb(n_total - n_avoided, n_choices), math.comb(n_total, n_choices))
+    assert avoidance_probability(n_total, n_choices, n_avoided,
+                                 n_subjects) == float(single ** n_subjects)
+
+
 def test_avoidance_mc_agrees_with_exact_two_choice():
     estimate = avoidance_probability_mc(14, 2, 2, 26, n_replications=200_000, seed=11)
     se = math.sqrt(EXACT_AVOIDANCE * (1 - EXACT_AVOIDANCE) / 200_000)
@@ -312,6 +327,45 @@ def test_avoidance_mc_agrees_with_exact_two_choice():
 def test_avoidance_mc_generic_path():
     exact = avoidance_probability(10, 3, 2, 4)
     estimate = avoidance_probability_mc(10, 3, 2, 4, n_replications=20_000, seed=5)
+    se = math.sqrt(exact * (1 - exact) / 20_000)
+    assert abs(estimate - exact) <= 4 * se
+    assert estimate == 940 / 20_000  # pins the generic path's PCG64 stream
+
+
+# (n_total, n_avoided, n_subjects, n_replications) for two choices: the
+# CLI's shape, the benchmark's subject count, no subjects, nothing marked,
+# exactly two unmarked entries, single and odd replication counts, and a
+# run that spans more than one chunk.  Most estimates sit far from 0 and 1,
+# so a changed draw or a miscounted row changes the digest.
+MC_TWO_CHOICE_CASES = (
+    (14, 2, 3, 2_000),
+    (14, 2, 26, 2_000),
+    (400, 2, 200, 500),
+    (14, 2, 0, 7),
+    (14, 0, 5, 7),
+    (4, 2, 3, 1),
+    (4, 2, 1, 7),
+    (2, 0, 4, 7),
+    (10, 3, 2, _MC_CHUNK + 3),
+)
+MC_TWO_CHOICE_DIGEST = "f76974dc61ad5e83af9fd247187eccb5d70bbfd0cbb791ee23cd6433d9a469e8"
+
+
+def test_avoidance_mc_two_choice_is_pinned():
+    estimates = [avoidance_probability_mc(n_total, 2, n_avoided, n_subjects,
+                                          n_replications=n_replications, seed=seed)
+                 for seed in (0, 1, 11)
+                 for n_total, n_avoided, n_subjects, n_replications in MC_TWO_CHOICE_CASES]
+    assert _digest(estimates) == MC_TWO_CHOICE_DIGEST
+
+
+@pytest.mark.parametrize("n_total", [2**15, 40_000, 2**31 + 8])
+def test_avoidance_mc_large_bulletin(n_total):
+    # draws past 2**15 do not fit int16; a quarter of the entries are marked,
+    # so draws cut short of n_total would move the estimate by many errors
+    exact = avoidance_probability(n_total, 2, n_total // 4, 2)
+    estimate = avoidance_probability_mc(n_total, 2, n_total // 4, 2,
+                                        n_replications=20_000, seed=3)
     se = math.sqrt(exact * (1 - exact) / 20_000)
     assert abs(estimate - exact) <= 4 * se
 
