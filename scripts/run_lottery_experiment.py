@@ -14,6 +14,7 @@ Example:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import pathlib
 
@@ -46,21 +47,21 @@ def main() -> None:
     args.out_dir.mkdir(parents=True, exist_ok=True)
     choice = ChoiceModel(kind=args.choice_model, tau=args.tau)
 
+    base = ExperimentConfig(
+        seed=args.base_seed,
+        n_subjects=args.subjects,
+        n_choices_per_subject=args.choices,
+        choice_model=choice,
+    )
     histogram: dict[int, int] = {}
     n_all_avoided = 0
     for rep in range(args.seeds):
-        config = ExperimentConfig(
-            seed=args.base_seed + rep,
-            n_subjects=args.subjects,
-            n_choices_per_subject=args.choices,
-            choice_model=choice,
-        )
-        result = simulate_subjects(config)
+        result = simulate_subjects(dataclasses.replace(base, seed=args.base_seed + rep))
         n_all_avoided += result.all_subjects_avoided
         for b, count in result.histogram.items():
             histogram[b] = histogram.get(b, 0) + count
 
-    n_bulletin = 14
+    n_bulletin = len(base.fixed_combinations) + base.n_random
     summary = {
         "replications": args.seeds,
         "subjects": args.subjects,

@@ -99,13 +99,6 @@ def digit_complexity(d: int, previous_digit: int | None = None,
     return math.log2(d + 1)
 
 
-def aggregate_cost(fiber_bits: Bits, transfer_bits: Bits) -> Bits:
-    """Total description cost: fiber (what is shown) plus transfer (how it repeats)."""
-    _check_bits(fiber_bits, "fiber_bits")
-    _check_bits(transfer_bits, "transfer_bits")
-    return fiber_bits + transfer_bits
-
-
 def model_to_config_text(model: CostModel) -> str:
     """Serialize a model to the flat key=value config format."""
     lines = [f"{key} = {getattr(model, key)!r}" for key in _CONFIG_FLOAT_KEYS]

@@ -26,11 +26,13 @@ if TYPE_CHECKING:
 
 POOL_SIZE = 49
 COMBINATION_LENGTH = 6
-# Replications drawn per vectorized Monte-Carlo batch.  It bounds the
-# memory of a batch to two arrays of _MC_CHUNK x n_subjects draws (int16
-# up to 2**15 entries), and it decides where the draws are split, so
-# changing it changes the estimates.
+# Replications drawn per Monte-Carlo batch.  It decides where the draws are
+# split, so changing it changes the estimates.  A batch holds two arrays of
+# rows x n_subjects draws (int16 up to 2**15 entries), and its rows are
+# also capped so that it holds at most _MC_CELLS draws per array; streams
+# with at most 200 subjects never reach that cap.
 _MC_CHUNK = 100_000
+_MC_CELLS = 200 * _MC_CHUNK
 
 
 @dataclass(frozen=True)
@@ -356,6 +358,15 @@ def simulate_subjects(config: ExperimentConfig,
 
 # --- avoidance statistics -------------------------------------------------
 
+def _check_avoidance_args(n_total: int, n_choices: int, n_avoided: int,
+                          n_subjects: int) -> None:
+    if min(n_total, n_choices, n_avoided, n_subjects) < 0:
+        raise ValueError("all arguments must be nonnegative")
+    if n_choices + n_avoided > n_total:
+        raise ValueError(
+            f"cannot choose {n_choices} while avoiding {n_avoided} among {n_total}")
+
+
 def avoidance_probability(n_total: int, n_choices: int, n_avoided: int,
                           n_subjects: int) -> float:
     """Chance that every subject's uniform picks miss the marked entries.
@@ -365,11 +376,7 @@ def avoidance_probability(n_total: int, n_choices: int, n_avoided: int,
     integers and divided once, which Python rounds correctly to the
     nearest float.
     """
-    if min(n_total, n_choices, n_avoided, n_subjects) < 0:
-        raise ValueError("all arguments must be nonnegative")
-    if n_choices + n_avoided > n_total:
-        raise ValueError(
-            f"cannot choose {n_choices} while avoiding {n_avoided} among {n_total}")
+    _check_avoidance_args(n_total, n_choices, n_avoided, n_subjects)
     return (math.comb(n_total - n_avoided, n_choices) ** n_subjects
             / math.comb(n_total, n_choices) ** n_subjects)
 
@@ -381,45 +388,38 @@ def avoidance_probability_mc(n_total: int, n_choices: int, n_avoided: int,
     Each replication draws, for every subject, ``n_choices`` distinct
     uniform picks out of ``n_total`` and checks that none hits the
     ``n_avoided`` marked entries (the entries ``0 .. n_avoided - 1``).
-    Other sizes than two choices run through a plain loop.
 
-    The two-choice case is vectorized.  A subject draws ``a`` from
-    ``n_total`` entries and ``b`` from the ``n_total - 1`` left, and picks
-    ``b + (b >= a)`` second.  Once ``a >= n_avoided`` that shift cannot
-    lift a marked ``b`` past ``n_avoided``, so the subject misses the
-    marked entries exactly when ``min(a, b) >= n_avoided``, and a
-    replication counts when that minimum over all its subjects, started
-    at ``n_avoided`` so that a replication without subjects counts, is
-    still ``n_avoided``.
+    Pick ``j`` is drawn as an index into the ``n_total - j`` entries not
+    yet picked, kept in ascending order, for ``j = 0 .. n_choices - 1``.
+    While every earlier pick is unmarked, the marked entries keep the
+    lowest indices, so a subject misses them exactly when its smallest
+    raw index is at least ``n_avoided``.  A replication counts when that
+    minimum over all its subjects, started at ``n_avoided`` so that a
+    replication without subjects counts, is still ``n_avoided``.  With
+    no picks every replication counts.
     """
     if n_replications < 1:
         raise ValueError("n_replications must be >= 1")
-    avoidance_probability(n_total, n_choices, n_avoided, n_subjects)  # validate args
+    _check_avoidance_args(n_total, n_choices, n_avoided, n_subjects)
+    if n_choices == 0:
+        return 1.0
     import numpy as np
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    # int16 holds the draws, and so fixes the streams, of every bulletin
+    # up to 2**15 entries; larger ones need a wider type.
+    dtype = (np.int16 if n_total <= 2**15
+             else np.int32 if n_total <= 2**31 else np.int64)
+    rows = min(_MC_CHUNK, max(1, _MC_CELLS // max(n_subjects, 1)))
     hits = 0
-    if n_choices == 2:
-        # int16 holds the draws, and so fixes the streams, of every bulletin
-        # up to 2**15 entries; larger ones need a wider type.
-        dtype = (np.int16 if n_total <= 2**15
-                 else np.int32 if n_total <= 2**31 else np.int64)
-        remaining = n_replications
-        while remaining > 0:
-            m = min(_MC_CHUNK, remaining)
-            a = rng.integers(0, n_total, size=(m, n_subjects), dtype=dtype)
-            b = rng.integers(0, n_total - 1, size=(m, n_subjects), dtype=dtype)
-            np.minimum(a, b, out=a)
-            hits += int(np.count_nonzero(a.min(axis=1, initial=n_avoided) == n_avoided))
-            remaining -= m
-    else:
-        for _ in range(n_replications):
-            ok = True
-            for _ in range(n_subjects):
-                picks = rng.choice(n_total, size=n_choices, replace=False)
-                if (picks < n_avoided).any():
-                    ok = False
-                    break
-            hits += ok
+    remaining = n_replications
+    while remaining > 0:
+        m = min(rows, remaining)
+        low = rng.integers(0, n_total, size=(m, n_subjects), dtype=dtype)
+        for j in range(1, n_choices):
+            draw = rng.integers(0, n_total - j, size=(m, n_subjects), dtype=dtype)
+            np.minimum(low, draw, out=low)
+        hits += int(np.count_nonzero(low.min(axis=1, initial=n_avoided) == n_avoided))
+        remaining -= m
     return hits / n_replications
 
 

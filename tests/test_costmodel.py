@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from seqsurprise.costmodel import (
     CostModel,
     DEFAULT_MODEL,
-    aggregate_cost,
     digit_complexity,
     model_from_config_text,
     model_to_config_text,
@@ -61,28 +60,6 @@ def test_digit_complexity_range_check(bad):
 def test_digit_complexity_bounded(d, prev):
     cap = max(LOG2_10, DEFAULT_MODEL.zero_after_nine_cost)
     assert 0.0 <= digit_complexity(d, prev) <= cap
-
-
-def test_aggregate_cost_is_addition():
-    assert aggregate_cost(0.0, 0.0) == 0.0
-    assert aggregate_cost(2.0, 1.0) == 3.0
-    assert aggregate_cost(LOG2_10, 1.0) == pytest.approx(LOG2_10 + 1.0)
-
-
-@given(st.floats(min_value=0, max_value=1e6),
-       st.floats(min_value=0, max_value=1e6),
-       st.floats(min_value=0, max_value=1e6))
-def test_aggregate_cost_commutes_and_associates(a, b, c):
-    assert aggregate_cost(a, b) == aggregate_cost(b, a)
-    assert aggregate_cost(aggregate_cost(a, b), c) == pytest.approx(
-        aggregate_cost(a, aggregate_cost(b, c)))
-
-
-def test_aggregate_cost_rejects_negative_and_nan():
-    with pytest.raises(ValueError):
-        aggregate_cost(-1.0, 0.0)
-    with pytest.raises(ValueError):
-        aggregate_cost(0.0, float("nan"))
 
 
 def test_default_model_convention():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqsurprise import analyzer
+from seqsurprise import analyzer, lottery
 from seqsurprise.analyzer import analyze
 from seqsurprise.lottery import (
     _MC_CHUNK,
@@ -329,7 +329,7 @@ def test_avoidance_mc_generic_path():
     estimate = avoidance_probability_mc(10, 3, 2, 4, n_replications=20_000, seed=5)
     se = math.sqrt(exact * (1 - exact) / 20_000)
     assert abs(estimate - exact) <= 4 * se
-    assert estimate == 940 / 20_000  # pins the generic path's PCG64 stream
+    assert estimate == 972 / 20_000  # pins the three-choice PCG64 stream
 
 
 # (n_total, n_avoided, n_subjects, n_replications) for two choices: the
@@ -368,6 +368,61 @@ def test_avoidance_mc_large_bulletin(n_total):
                                         n_replications=20_000, seed=3)
     se = math.sqrt(exact * (1 - exact) / 20_000)
     assert abs(estimate - exact) <= 4 * se
+
+
+# (n_choices, seed) for 14 entries, 2 marked and 3 subjects: no picks, one
+# pick, and three to six picks.  The digest pins their PCG64 streams.
+MC_CHOICE_CASES = tuple((n_choices, seed) for n_choices in (0, 1, 3, 4, 6)
+                        for seed in (0, 1, 11))
+MC_CHOICE_DIGEST = "0baebb3185e33069e568895230ee35cc8a965cc008bf4efd91d51eaf7bcd22b3"
+
+
+def test_avoidance_mc_every_choice_count_agrees_and_is_pinned():
+    estimates = []
+    for n_choices, seed in MC_CHOICE_CASES:
+        exact = avoidance_probability(14, n_choices, 2, 3)
+        estimate = avoidance_probability_mc(14, n_choices, 2, 3,
+                                            n_replications=20_000, seed=seed)
+        se = math.sqrt(exact * (1 - exact) / 20_000)
+        assert abs(estimate - exact) <= 4 * se, (n_choices, seed)
+        estimates.append(estimate)
+    assert _digest(estimates) == MC_CHOICE_DIGEST
+
+
+def test_avoidance_mc_does_not_compute_the_exact_value(monkeypatch):
+    # the exact powers grow with n_subjects; the estimate only checks bounds
+    def exact(*args):
+        raise AssertionError("avoidance_probability called")
+
+    monkeypatch.setattr(lottery, "avoidance_probability", exact)
+    assert avoidance_probability_mc(14, 3, 2, 5, n_replications=10, seed=1) >= 0.0
+    with pytest.raises(ValueError, match="cannot choose 3 while avoiding 2 among 4"):
+        avoidance_probability_mc(4, 3, 2, 1, n_replications=10, seed=1)
+
+
+def test_avoidance_mc_caps_the_draws_of_a_batch(monkeypatch):
+    import numpy as np
+
+    sizes = []
+
+    class Recording(np.random.Generator):
+        def integers(self, *args, size=None, **kwargs):
+            sizes.append(size)
+            return super().integers(*args, size=size, **kwargs)
+
+    monkeypatch.setattr(np.random, "Generator", Recording)
+    # the same ratio as the real constants: up to 200 subjects a batch has
+    # _MC_CHUNK rows, beyond that at most _MC_CELLS draws per array
+    monkeypatch.setattr(lottery, "_MC_CHUNK", 5)
+    monkeypatch.setattr(lottery, "_MC_CELLS", 200 * 5)
+    avoidance_probability_mc(14, 3, 2, 200, n_replications=6, seed=1)
+    assert sizes == [(5, 200)] * 3 + [(1, 200)] * 3
+    sizes.clear()
+    avoidance_probability_mc(14, 2, 2, 201, n_replications=10, seed=1)
+    assert sizes == [(4, 201)] * 4 + [(2, 201)] * 2
+    sizes.clear()
+    avoidance_probability_mc(14, 1, 2, 1001, n_replications=2, seed=1)
+    assert sizes == [(1, 1001)] * 2
 
 
 def test_avoidance_mc_validates_arguments():
