@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
-from .costmodel import Bits, CostModel, DEFAULT_MODEL, digit_complexity, number_complexity
+from .costmodel import Bits, CostModel, DEFAULT_MODEL, number_complexity
 from .program import (
     DescriptionProgram,
     Operation,
@@ -87,8 +87,7 @@ def split_readings(token: int, model: CostModel) -> list[tuple[str, Bits]]:
     return readings
 
 
-def fresh_moves(token: int, model: CostModel, *, first: bool,
-                allow_split: bool = True) -> list[Move]:
+def fresh_moves(token: int, model: CostModel, *, first: bool) -> list[Move]:
     """Ways to start a segment at this token, in canonical order: plain
     instantiate, then the digit readings.  The first of equal costs wins."""
     seg_ops: tuple[Operation, ...] = ()
@@ -99,10 +98,9 @@ def fresh_moves(token: int, model: CostModel, *, first: bool,
     rank_bits = number_complexity(token)
     moves = [Move(seg_ops + (Operation(OpKind.INSTANTIATE, (token,), rank_bits),),
                   seg_cost + rank_bits)]
-    if allow_split:
-        moves += [Move(seg_ops + (Operation(OpKind.SPLIT_DIGITS, (token, path), bits),),
-                       seg_cost + bits)
-                  for path, bits in split_readings(token, model)]
+    moves += [Move(seg_ops + (Operation(OpKind.SPLIT_DIGITS, (token, path), bits),),
+                   seg_cost + bits)
+              for path, bits in split_readings(token, model)]
     return moves
 
 
@@ -131,17 +129,15 @@ class MoveTable:
     costs); ``explained`` gives the :func:`explained_move` pair of a step.
     """
 
-    def __init__(self, model: CostModel, *, allow_split: bool = True) -> None:
+    def __init__(self, model: CostModel) -> None:
         self.model = model
-        self.allow_split = allow_split
         self._fresh: dict[tuple[int, bool], tuple[tuple[Move, ...], Move]] = {}
         self._steps: dict[int, tuple[Move, Move] | None] = {}
 
     def fresh(self, token: int, first: bool) -> tuple[tuple[Move, ...], Move]:
         entry = self._fresh.get((token, first))
         if entry is None:
-            moves = tuple(fresh_moves(token, self.model, first=first,
-                                      allow_split=self.allow_split))
+            moves = tuple(fresh_moves(token, self.model, first=first))
             entry = self._fresh[token, first] = (moves, min(moves, key=lambda m: m.cost))
         return entry
 
@@ -233,9 +229,9 @@ def derive_10_to_70(model: CostModel = DEFAULT_MODEL) -> DescriptionProgram:
     charge = (
         model.copy_cost                      # transfer through translation
         + model.dup_cost                     # duplicated digit slot
-        + digit_complexity(0, model=model)   # units digit, a plain zero
+        + number_complexity(0)               # units digit, a plain zero
         + model.dup_cost + model.increment_cost(1)  # dissociation into +1 / copy
-        + digit_complexity(1, model=model)   # leading tens digit
+        + number_complexity(1)               # leading tens digit
     )
     ops: list[Operation] = [Operation(OpKind.SPLIT_DIGITS, (10, PATH_DIGITS), charge)]
     tokens = [10]

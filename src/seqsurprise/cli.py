@@ -186,13 +186,8 @@ def cmd_surprise(args: argparse.Namespace, model: CostModel) -> int:
         if template is None:
             raise UsageError("a multi-token sequence needs an explicit --template")
         report = sequence_surprise(tokens, template, model)
-    record = {
-        "c_exp": report.c_expected,
-        "c_obs": report.c_observed,
-        "u": report.u,
-        "p": report.p,
-        "p_exceeds_one": report.p_exceeds_one,
-    }
+    record = report.to_json_dict()
+    del record["trace"]
     _emit(record, args.format, report.trace if args.trace else ())
     return 0
 

@@ -9,7 +9,7 @@ segment starts) carry flat charges collected in :class:`CostModel`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 Bits = float
 
@@ -32,9 +32,9 @@ def _check_bits(value: float, name: str) -> None:
 class CostModel:
     """Bit charges for the description operators.
 
-    ``increment_cost_overrides`` maps a step size k to an explicit charge;
-    absent entries fall back to log2(k + 1), which makes a +k step exactly
-    as expensive as instantiating the number k.
+    ``increment_cost_overrides`` maps an allowed step size k to an explicit
+    charge; absent entries fall back to log2(k + 1), which makes a +k step
+    exactly as expensive as instantiating the number k.
     """
 
     copy_cost: Bits = 1.0
@@ -58,8 +58,10 @@ class CostModel:
             if not isinstance(k, int) or k < 1:
                 raise ValueError(f"increment steps must be positive ints, got {k!r}")
         for k, cost in self.increment_cost_overrides:
-            if k < 1:
-                raise ValueError(f"increment override for invalid step {k}")
+            # An override for a step the model never takes would be ignored.
+            if k not in self.allowed_increments:
+                raise ValueError(f"increment_cost_{k} names step {k}, which is not "
+                                 f"in allowed_increments {sorted(self.allowed_increments)}")
             _check_bits(cost, f"increment_cost_{k}")
 
     def increment_cost(self, k: int) -> Bits:
@@ -80,23 +82,6 @@ def number_complexity(n: int) -> Bits:
     if n < 0:
         raise ValueError(f"number_complexity is defined for nonnegative integers, got {n}")
     return math.log2(n + 1)
-
-
-def digit_complexity(d: int, previous_digit: int | None = None,
-                     model: CostModel | None = None) -> Bits:
-    """Rank cost of a single digit, with one perceptual exception.
-
-    A zero read right after a nine in the same digit stream is dearer than
-    its rank suggests (the reading "round number after 9" is not the cheap
-    zero), so it is charged ``zero_after_nine_cost`` instead of log2(1) = 0.
-    """
-    if not 0 <= d <= 9:
-        raise ValueError(f"digit_complexity expects a digit 0..9, got {d}")
-    if previous_digit is not None and not 0 <= previous_digit <= 9:
-        raise ValueError(f"previous_digit must be a digit 0..9, got {previous_digit}")
-    if d == 0 and previous_digit == 9:
-        return (model or DEFAULT_MODEL).zero_after_nine_cost
-    return math.log2(d + 1)
 
 
 def model_to_config_text(model: CostModel) -> str:

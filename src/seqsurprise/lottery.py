@@ -282,29 +282,21 @@ def generate_bulletin(config: ExperimentConfig,
     return [bulletin[i] for i in order]
 
 
-def _pick_weighted(rng: np.random.Generator, weights: list[float],
-                   n_picks: int) -> tuple[list[int], bool]:
-    """Sequential weighted sampling without replacement; zero-sum weights
-    fall back to uniform and flag it."""
-    remaining = list(range(len(weights)))
+def _pick_allowed(rng: np.random.Generator, allowed: list[bool],
+                  n_picks: int) -> tuple[list[int], bool]:
+    """Uniform picks without replacement among the allowed entries, one
+    ``rng.random()`` per pick; once none is left, uniform among all the
+    remaining entries, flagged as a fallback."""
+    remaining = list(range(len(allowed)))
     chosen: list[int] = []
     fallback = False
     for _ in range(n_picks):
-        w = [weights[i] for i in remaining]
-        total = sum(w)
-        if total <= 0.0:
+        pool = [pos for pos, i in enumerate(remaining) if allowed[i]]
+        if not pool:
             fallback = True
-            w = [1.0] * len(remaining)
-            total = float(len(remaining))
-        r = rng.random() * total
-        acc = 0.0
-        pick_pos = len(remaining) - 1
-        for pos, wi in enumerate(w):
-            acc += wi
-            if r < acc:
-                pick_pos = pos
-                break
-        chosen.append(remaining.pop(pick_pos))
+            pool = list(range(len(remaining)))
+        # random() < 1, so the scaled draw stays below len(pool).
+        chosen.append(remaining.pop(pool[int(rng.random() * len(pool))]))
     return chosen, fallback
 
 
@@ -338,8 +330,8 @@ def simulate_subjects(config: ExperimentConfig,
     fallback_seen = False
     for rng, bulletin in subjects:
         bits = [bits_of[c.numbers] for c in bulletin]
-        weights = [config.choice_model.weight(b) for b in bits]
-        picked, fallback = _pick_weighted(rng, weights, config.n_choices_per_subject)
+        allowed = [config.choice_model.weight(b) > 0.0 for b in bits]
+        picked, fallback = _pick_allowed(rng, allowed, config.n_choices_per_subject)
         fallback_seen = fallback_seen or fallback
         choices.append(tuple(picked))
         chosen_bits.append(tuple(bits[i] for i in picked))

@@ -50,12 +50,17 @@ FULL_OPERATORS = DEFAULT_OPERATORS | {OpKind.MIRROR}
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """The structure operators the search may use.
+    """The structure operators the search may use: ``DEFAULT_OPERATORS``,
+    or ``FULL_OPERATORS``, which adds the mirror.
 
     Plain instantiation and segment starts are always available.
     """
 
     operators: frozenset[OpKind] = DEFAULT_OPERATORS
+
+    def __post_init__(self) -> None:
+        if self.operators not in (DEFAULT_OPERATORS, FULL_OPERATORS):
+            raise ValueError("operators must be DEFAULT_OPERATORS or FULL_OPERATORS")
 
 
 def oracle_min_cost(seq: Sequence[int], model: CostModel = DEFAULT_MODEL,
@@ -69,19 +74,18 @@ def oracle_min_cost(seq: Sequence[int], model: CostModel = DEFAULT_MODEL,
     interface refuses them instead.
     """
     toks = check_sequence(seq)
-    operators = (budget or SearchBudget()).operators
-    table = MoveTable(model, allow_split=OpKind.SPLIT_DIGITS in operators)
+    use_mirror = OpKind.MIRROR in (budget or SearchBudget()).operators
+    table = MoveTable(model)
     mirror = Move((Operation(OpKind.MIRROR, (), model.mirror_cost),), model.mirror_cost)
-    # Per position: the COPY/INCREMENT pair the budget allows, and the
+    # Per position: the COPY/INCREMENT pair, if one applies, and the
     # mirror move, if it applies, followed by the fresh moves.
     steps: list[tuple[Move, Move] | None] = [None]
     rest = [table.fresh(toks[0], True)[0]]
     for pos in range(1, len(toks)):
-        pair = table.explained(toks[pos], toks[pos - 1])
-        steps.append(pair if pair is not None and pair[0].ops[0].kind in operators else None)
+        steps.append(table.explained(toks[pos], toks[pos - 1]))
         moves = table.fresh(toks[pos], False)[0]
         # A mirror emits the reversal of everything produced so far.
-        if OpKind.MIRROR in operators and toks[pos: pos + pos] == toks[:pos][::-1]:
+        if use_mirror and toks[pos: pos + pos] == toks[:pos][::-1]:
             moves = (mirror,) + moves
         rest.append(moves)
     best_cost = math.inf

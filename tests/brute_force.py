@@ -22,21 +22,23 @@ def _moves(toks: tuple[int, ...], pos: int, stm: StmState, model: CostModel,
     moves: list[Move] = []
     if pos > 0:
         pair = explained_move(toks[pos], toks[pos - 1], model)
-        if pair is not None and pair[0].ops[0].kind in operators:
+        if pair is not None:
             charged, free = pair
             moves.append(free if charged.key in stm else charged)
         if OpKind.MIRROR in operators and toks[pos: 2 * pos] == toks[:pos][::-1]:
             moves.append(Move(ops=(Operation(OpKind.MIRROR, (), model.mirror_cost),),
                               cost=model.mirror_cost))
-    moves.extend(fresh_moves(toks[pos], model, first=pos == 0,
-                             allow_split=OpKind.SPLIT_DIGITS in operators))
+    moves.extend(fresh_moves(toks[pos], model, first=pos == 0))
     return moves
 
 
 def brute_force_min_cost(seq: list[int], model: CostModel,
                          operators: frozenset[OpKind]
                          ) -> tuple[float, tuple[Operation, ...]]:
-    """Cheapest cost and the first program in canonical order that attains it."""
+    """Cheapest cost and the first program in canonical order that attains it.
+
+    ``operators`` is ``DEFAULT_OPERATORS`` or ``FULL_OPERATORS``; only
+    whether it holds the mirror matters."""
     toks = tuple(seq)
     best_cost = math.inf
     best_ops: tuple[Operation, ...] = ()

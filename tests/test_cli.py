@@ -184,6 +184,21 @@ def test_config_unknown_key_is_usage_error(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_config_override_for_a_disallowed_step_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text("increment_cost_5 = 0.1\n")
+    code, out, err = run(capsys, ["complexity", "1", "6", "11", "--config", str(cfg)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "increment_cost_5" in err
+    # once the step is allowed the override takes effect
+    cfg.write_text("allowed_increments = 1,5\nincrement_cost_5 = 0.1\n")
+    code, out, _ = run(capsys, ["complexity", "1", "6", "11", "--config", str(cfg)])
+    assert code == 0
+    assert "cost_bits=1.1\n" in out
+
+
 def test_refcheck_passes_by_default(capsys):
     code, out, _ = run(capsys, ["lottery", "refcheck"])
     assert code == 0

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from seqsurprise.costmodel import (
     CostModel,
     DEFAULT_MODEL,
-    digit_complexity,
     model_from_config_text,
     model_to_config_text,
     number_complexity,
@@ -38,30 +37,6 @@ def test_number_complexity_exact_at_powers(k):
     assert number_complexity(2**k - 1) == float(k)
 
 
-def test_digit_complexity_known_values():
-    assert digit_complexity(3) == 2.0
-    assert digit_complexity(1) == 1.0
-    assert digit_complexity(0) == 0.0
-    assert digit_complexity(0, previous_digit=9) == 3.5
-    assert digit_complexity(0, previous_digit=8) == 0.0
-    assert digit_complexity(9, previous_digit=9) == pytest.approx(LOG2_10)
-
-
-@pytest.mark.parametrize("bad", [-1, 10, 42])
-def test_digit_complexity_range_check(bad):
-    with pytest.raises(ValueError):
-        digit_complexity(bad)
-    with pytest.raises(ValueError):
-        digit_complexity(1, previous_digit=bad)
-
-
-@given(st.integers(min_value=0, max_value=9),
-       st.one_of(st.none(), st.integers(min_value=0, max_value=9)))
-def test_digit_complexity_bounded(d, prev):
-    cap = max(LOG2_10, DEFAULT_MODEL.zero_after_nine_cost)
-    assert 0.0 <= digit_complexity(d, prev) <= cap
-
-
 def test_default_model_convention():
     # duplication priced like copy, +k priced like the number k
     assert DEFAULT_MODEL.dup_cost == DEFAULT_MODEL.copy_cost
@@ -82,6 +57,9 @@ def test_model_validation():
         CostModel(allowed_increments=frozenset({0, 1}))
     with pytest.raises(ValueError):
         CostModel(increment_cost_overrides=((1, -2.0),))
+    # an override for a step outside allowed_increments could never apply
+    with pytest.raises(ValueError, match="increment_cost_5"):
+        CostModel(increment_cost_overrides=((5, 0.1),))
 
 
 def test_model_is_frozen():

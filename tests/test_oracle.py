@@ -128,12 +128,14 @@ def test_enlarging_operator_set_never_increases_minimum(seq):
     assert larger <= smaller + 1e-12
 
 
-def test_restricted_operator_set_falls_back_to_instantiation():
-    bare = SearchBudget(operators=frozenset())
-    cost, prog = oracle_min_cost([3, 3, 3], budget=bare)
-    assert cost == pytest.approx(naive_cost([3, 3, 3]))
-    assert all(op.kind in (OpKind.INSTANTIATE, OpKind.SEGMENT_START)
-               for op in prog.ops)
+@pytest.mark.parametrize(
+    "operators",
+    [frozenset(), *(frozenset({kind}) for kind in OpKind),
+     DEFAULT_OPERATORS - {OpKind.SPLIT_DIGITS}],
+    ids=lambda ops: "+".join(sorted(kind.value for kind in ops)) or "empty")
+def test_budget_takes_only_the_two_operator_sets(operators):
+    with pytest.raises(ValueError, match="DEFAULT_OPERATORS or FULL_OPERATORS"):
+        SearchBudget(operators=operators)
 
 
 def test_budget_takes_no_length_or_cost_cap():
