@@ -223,16 +223,19 @@ def derive_10_to_70(model: CostModel = DEFAULT_MODEL) -> DescriptionProgram:
     the zero for free).  Every later element rides the established
     transfer and is emitted free.
 
-    With the default ties dup = copy and a unit charge for +1 and for the
-    digit 1, the total is 3 * copy_cost + 2.
+    Each part is priced as the scan prices it: the transfer at the copy
+    cost, the slot and both digits as the digits reading of 10, and the
+    dissociation as a second duplication plus the scan's +1 charge.  A
+    model that does not allow the +1 step raises ``ValueError``.  With the
+    default ties dup = copy and a unit charge for +1 and for the digit 1,
+    the total is 3 * copy_cost + 2.
     """
-    charge = (
-        model.copy_cost                      # transfer through translation
-        + model.dup_cost                     # duplicated digit slot
-        + number_complexity(0)               # units digit, a plain zero
-        + model.dup_cost + model.increment_cost(1)  # dissociation into +1 / copy
-        + number_complexity(1)               # leading tens digit
-    )
+    plus_one = explained_move(11, 10, model)
+    if plus_one is None:
+        raise ValueError("the round-tens account needs the +1 step, which "
+                         f"allowed_increments {sorted(model.allowed_increments)} lacks")
+    digits = dict(split_readings(10, model))[PATH_DIGITS]
+    charge = model.copy_cost + digits + model.dup_cost + plus_one[0].cost
     ops: list[Operation] = [Operation(OpKind.SPLIT_DIGITS, (10, PATH_DIGITS), charge)]
     tokens = [10]
     for value in range(20, 71, 10):

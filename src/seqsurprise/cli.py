@@ -45,7 +45,7 @@ from .oracle import (
     SearchBudget,
     oracle_min_cost,
 )
-from .program import DescriptionProgram, ReplayError
+from .program import DescriptionProgram
 from .surprise import (
     ExpectationTemplate,
     FixedBits,
@@ -96,11 +96,7 @@ def _load_model(args: argparse.Namespace) -> CostModel:
     path = getattr(args, "config", None)
     if path is None:
         return DEFAULT_MODEL
-    try:
-        text = pathlib.Path(path).read_text()
-    except OSError as exc:
-        raise UsageError(f"cannot read config {path!r}: {exc}") from None
-    return model_from_config_text(text)
+    return model_from_config_text(_read_file(path, "config "))
 
 
 def _fmt(value) -> str:
@@ -113,22 +109,30 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(record: dict, fmt: str, trace: tuple[str, ...] = ()) -> None:
+def _emit(record, fmt: str, trace: tuple[str, ...] = ()) -> None:
+    """Print a record as sorted ``key=value`` lines, a ``key,value`` table or
+    JSON, which may also be a list.  Trace lines follow the record; in JSON
+    they are its ``trace`` list."""
     if fmt == "json":
-        obj = dict(record)
-        if trace:
-            obj["trace"] = list(trace)
-        print(json.dumps(obj, sort_keys=True, indent=2))
+        print(json.dumps({**record, "trace": list(trace)} if trace else record,
+                         sort_keys=True, indent=2))
         return
+    sep = "=" if fmt == "plain" else ","
     if fmt == "csv":
         print("key,value")
-        for key in sorted(record):
-            print(f"{key},{_fmt(record[key])}")
-    else:
-        for key in sorted(record):
-            print(f"{key}={_fmt(record[key])}")
+    for key in sorted(record):
+        print(f"{key}{sep}{_fmt(record[key])}")
     for line in trace:
         print(line)
+
+
+def _ranked_json(rows) -> list[dict]:
+    return [{"combination": list(c.numbers), "cost_bits": bits} for c, bits in rows]
+
+
+def _print_ranked(rows) -> None:
+    for combo, bits in rows:
+        print(f"{bits:12.6f}  {combo}")
 
 
 def _exact_search(tokens: list[int], model: CostModel,
@@ -146,6 +150,13 @@ def _exact_search(tokens: list[int], model: CostModel,
             f"the recursion limit ({sys.getrecursionlimit()})") from None
 
 
+def _read_file(path: str, what: str = "") -> str:
+    try:
+        return pathlib.Path(path).read_text()
+    except OSError as exc:
+        raise UsageError(f"cannot read {what}{path!r}: {exc}") from None
+
+
 def _write_file(path: str, text: str) -> None:
     try:
         pathlib.Path(path).write_text(text)
@@ -154,6 +165,8 @@ def _write_file(path: str, text: str) -> None:
 
 
 def cmd_complexity(args: argparse.Namespace, model: CostModel) -> int:
+    if args.allow_long and not args.oracle:
+        raise UsageError("--allow-long applies only with --oracle")
     tokens = _parse_tokens(args.tokens)
     prog = analyze(tokens, model, enable_mirror=args.mirror)
     record = {
@@ -196,48 +209,36 @@ def cmd_lottery_rank(args: argparse.Namespace, model: CostModel) -> int:
     if args.file is None or args.file == "-":
         text = sys.stdin.read()
     else:
-        try:
-            text = pathlib.Path(args.file).read_text()
-        except OSError as exc:
-            raise UsageError(f"cannot read {args.file!r}: {exc}") from None
-    try:
-        combos = parse_bulletin(text)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        text = _read_file(args.file)
+    combos = parse_bulletin(text)
     if not combos:
         raise UsageError("no combinations to rank")
     ranked = rank_combinations(combos, model)
     if args.format == "json":
-        rows = [{"combination": list(c.numbers), "cost_bits": bits}
-                for c, bits in ranked]
-        print(json.dumps(rows, sort_keys=True, indent=2))
+        _emit(_ranked_json(ranked), "json")
     elif args.format == "csv":
         print("combination,cost_bits")
         for combo, bits in ranked:
             print(f"{combo},{_fmt(bits)}")
     else:
-        for combo, bits in ranked:
-            print(f"{bits:12.6f}  {combo}")
+        _print_ranked(ranked)
     return 0
 
 
 def cmd_lottery_refcheck(args: argparse.Namespace, model: CostModel) -> int:
     rep = reference_rank_report(model)
     if args.format == "json":
-        obj = {
-            "rows": [{"combination": list(c.numbers), "cost_bits": bits}
-                     for c, bits in rep.rows],
+        _emit({
+            "rows": _ranked_json(rep.rows),
             "order_ok": rep.order_ok,
             "trio_span_bits": rep.trio_span,
             "trio_span_ok": rep.trio_span_ok,
             "separation_bits": rep.separation,
             "separation_ok": rep.separation_ok,
             "ok": rep.ok,
-        }
-        print(json.dumps(obj, sort_keys=True, indent=2))
+        }, "json")
     else:
-        for combo, bits in rep.rows:
-            print(f"{bits:12.6f}  {combo}")
+        _print_ranked(rep.rows)
         print(f"group order ascending: {'PASS' if rep.order_ok else 'FAIL'}")
         print(f"middle trio span {_fmt(rep.trio_span)} <= 1: "
               f"{'PASS' if rep.trio_span_ok else 'FAIL'}")
@@ -270,6 +271,12 @@ def cmd_lottery_experiment(args: argparse.Namespace, model: CostModel) -> int:
         choice_model=choice,
     )
     result = simulate_subjects(config, model)
+    if args.histogram_csv:
+        _write_file(args.histogram_csv, result.histogram_csv())
+    if args.format == "csv":
+        # the table is the whole output, so the avoidance figures are not computed
+        sys.stdout.write(result.histogram_csv())
+        return 0
     n_total = len(config.fixed_combinations) + config.n_random
     summary = result.to_json_dict()
     summary["n_bulletin"] = n_total
@@ -280,19 +287,14 @@ def cmd_lottery_experiment(args: argparse.Namespace, model: CostModel) -> int:
             n_total, config.n_choices_per_subject, 2, config.n_subjects,
             n_replications=args.mc_replications, seed=args.seed)
         summary["mc_replications"] = args.mc_replications
-    if args.histogram_csv:
-        _write_file(args.histogram_csv, result.histogram_csv())
     if args.format == "json":
-        print(json.dumps(summary, sort_keys=True, indent=2))
-    elif args.format == "csv":
-        sys.stdout.write(result.histogram_csv())
+        _emit(summary, "json")
     else:
-        hist = summary.pop("histogram")
-        for key in sorted(summary):
-            print(f"{key}={_fmt(summary[key])}")
+        histogram = summary.pop("histogram")
+        _emit(summary, "plain")
         print("histogram:")
-        for b in sorted(hist, key=int):
-            print(f"{b},{hist[b]}")
+        for bits, count in histogram.items():
+            print(f"{bits},{count}")
     return 0
 
 
@@ -322,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against the exhaustive search")
     p.add_argument("--allow-long", action="store_true",
-                   help="run the exhaustive search past its soft length limit")
+                   help="with --oracle, run the exhaustive search past its "
+                        "soft length limit")
     p.set_defaults(func=cmd_complexity)
 
     p = sub.add_parser("oracle", parents=[common, traced],
@@ -390,7 +393,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (UsageError, GenerationError, ReplayError, ValueError) as exc:
+    except (GenerationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:

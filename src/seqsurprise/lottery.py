@@ -354,9 +354,10 @@ def _check_avoidance_args(n_total: int, n_choices: int, n_avoided: int,
                           n_subjects: int) -> None:
     if min(n_total, n_choices, n_avoided, n_subjects) < 0:
         raise ValueError("all arguments must be nonnegative")
-    if n_choices + n_avoided > n_total:
+    # Choosing and avoiding may overlap: then no pick misses, and the chance is 0.
+    if max(n_choices, n_avoided) > n_total:
         raise ValueError(
-            f"cannot choose {n_choices} while avoiding {n_avoided} among {n_total}")
+            f"cannot choose {n_choices} or avoid {n_avoided} among {n_total}")
 
 
 def avoidance_probability(n_total: int, n_choices: int, n_avoided: int,

@@ -115,18 +115,37 @@ def test_05_avoidance_statistic(announce):
           "MC within 3 se at 1e7", 60.0, body)
 
 
+def structured_sequence(rng, length):
+    # runs, ramps and digit-twin tokens: the inputs where moves compete
+    seq = [rng.randint(0, 49)]
+    while len(seq) < length:
+        roll = rng.random()
+        if roll < 0.35:
+            seq.append(seq[-1])
+        elif roll < 0.7:
+            seq.append(seq[-1] + rng.choice((1, 2)))
+        elif roll < 0.85:
+            seq.append(11 * rng.randint(1, 4))
+        else:
+            seq.append(rng.randint(0, 49))
+    return seq
+
+
 def test_06_exhaustive_agreement(announce):
     def body():
-        rng = random.Random(20240824)
+        uniform, structured = random.Random(20240824), random.Random(0)
+        seqs = [[uniform.randint(0, 49) for _ in range(uniform.randint(1, 6))]
+                for _ in range(500)]
+        seqs += [structured_sequence(structured, structured.randint(1, 6))
+                 for _ in range(1500)]
         budget = SearchBudget(operators=DEFAULT_OPERATORS)
-        for _ in range(500):
-            seq = [rng.randint(0, 49) for _ in range(rng.randint(1, 6))]
+        for seq in seqs:
             greedy = analyze(seq).total_cost
             minimal, _ = oracle_min_cost(seq, budget=budget)
             assert greedy == minimal, f"gap on {seq}: {greedy} vs {minimal}"
 
-    check(announce, "6 analyzer equals exhaustive search on 500 random sequences",
-          120.0, body)
+    check(announce, "6 analyzer equals exhaustive search on 500 random and "
+          "1500 structured sequences", 120.0, body)
 
 
 def test_07_replay_round_trip(announce):

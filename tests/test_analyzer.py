@@ -183,6 +183,14 @@ def test_derive_10_to_70_scales_linearly_in_copy_cost(c):
     assert replay(prog) == [10, 20, 30, 40, 50, 60, 70]
 
 
+def test_derive_10_to_70_needs_the_plus_one_step():
+    with pytest.raises(ValueError, match=r"\+1 step"):
+        derive_10_to_70(CostModel(allowed_increments=frozenset({2})))
+    # the +1 charge is the model's, as the scan would charge it
+    model = CostModel(allowed_increments=frozenset({1, 2}), increment_cost_overrides=((1, 0.25),))
+    assert derive_10_to_70(model).total_cost == pytest.approx(4.25)
+
+
 def test_naive_cost_formula():
     assert naive_cost([5]) == pytest.approx(math.log2(6))
     assert naive_cost([3, 3]) == pytest.approx(2 * 2 + 1)

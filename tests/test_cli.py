@@ -38,6 +38,9 @@ BULLETIN_SEED_1 = (
     "1 2 5 6 15 49\n"
 )
 
+# every step from 1 to 40: the reference ranking no longer holds
+WIDE_STEPS = "allowed_increments = " + ",".join(str(k) for k in range(1, 41)) + "\n"
+
 
 def run(capsys, argv):
     code = main(argv)
@@ -118,6 +121,7 @@ def test_unhonoured_options_are_usage_errors(tmp_path, capsys):
         ["lottery", "bulletin", "--seed", "1", "--format", "json"],
         ["lottery", "bulletin", "--seed", "1", "--config", str(bad_cfg)],
         ["lottery", "refcheck", "--format", "csv"],
+        ["complexity", "1", "2", "3", "--allow-long"],
     ):
         code, out, err = run(capsys, argv)
         assert code == 2, argv
@@ -207,8 +211,7 @@ def test_refcheck_passes_by_default(capsys):
 
 def test_refcheck_fails_under_distorting_config(tmp_path, capsys):
     cfg = tmp_path / "wide.cfg"
-    cfg.write_text("allowed_increments = " +
-                   ",".join(str(k) for k in range(1, 41)) + "\n")
+    cfg.write_text(WIDE_STEPS)
     code, out, _ = run(capsys, ["lottery", "refcheck", "--config", str(cfg)])
     assert code == 1
     assert "overall: FAIL" in out
@@ -298,6 +301,19 @@ def test_experiment_mc_estimate(capsys):
     assert 0.0 <= obj["avoidance_probability_mc"] <= 0.01
 
 
+@pytest.mark.parametrize("choices", ["13", "14"])
+def test_experiment_choosing_past_the_unmarked_entries(choices, capsys):
+    # 13 of 14 picks must hit one of the two simplest tickets
+    code, out, err = run(capsys, ["lottery", "experiment", "--seed", "1",
+                                  "--choices", choices, "--mc-replications", "200",
+                                  "--format", "json"])
+    assert (code, err) == (0, "")
+    obj = json.loads(out)
+    assert obj["avoidance_probability_exact"] == 0.0
+    assert obj["avoidance_probability_mc"] == 0.0
+    assert '"avoidance_probability_exact": 0.0' in out
+
+
 @pytest.mark.parametrize("option", [
     ["--tau", "nan", "--model", "complexity_weighted"],
     ["--mc-replications", "-3"],
@@ -346,6 +362,94 @@ def test_experiment_csv_and_histogram_file(tmp_path, capsys):
     assert code == 0
     assert out.startswith("bin,count\n")
     assert hist.read_text() == out
+
+
+COMBOS = "1 2 3 4 5 6\n14 24 36 38 42 44\n10 20 30 31 32 33\n"
+
+
+def _corpus():
+    """(argv, stdin) pairs: every subcommand in every accepted format, the
+    options that change a record, and the errors the program words itself.
+    ``{tmp}`` stands for a temporary directory holding ``combos.txt``,
+    ``wide.cfg`` and ``model.cfg``.  Argparse's own messages are left out,
+    since their wording differs between Python versions."""
+    formats = ("plain", "csv", "json")
+    cases = []
+    for fmt in formats:
+        f = ["--format", fmt]
+        cases += [
+            (["complexity", "1", "2", "3", "4", "5", "6"] + f, None),
+            (["complexity", "10", "20", "30", "31", "32", "33", "--trace"] + f, None),
+            (["complexity", "1", "2", "2", "1", "5", "--mirror", "--oracle", "--trace"] + f,
+             None),
+            (["complexity", "3", "4", "4", "3", "--mirror"] + f, None),
+            (["complexity", "7", "7", "7", "--oracle", "--config", "{tmp}/model.cfg"] + f,
+             None),
+            (["oracle", "7", "7", "8"] + f, None),
+            (["oracle", "1", "2", "2", "1", "--mirror", "--trace"] + f, None),
+            (["surprise", "33333"] + f, None),
+            (["surprise", "1", "2", "3", "--template", "kdigit:3", "--trace"] + f, None),
+            (["surprise", "28561", "--template", "fixed:20"] + f, None),
+            (["lottery", "rank", "{tmp}/combos.txt"] + f, None),
+            (["lottery", "rank"] + f, COMBOS),
+            (["lottery", "rank", "-"] + f, COMBOS),
+            (["lottery", "experiment", "--seed", "2", "--subjects", "3"] + f, None),
+            (["lottery", "experiment", "--seed", "5", "--model", "complexity_weighted",
+              "--mc-replications", "3000", "--histogram-csv", "{tmp}/hist.csv"] + f, None),
+        ]
+    for fmt in ("plain", "json"):
+        cases += [
+            (["lottery", "refcheck", "--format", fmt], None),
+            (["lottery", "refcheck", "--config", "{tmp}/wide.cfg", "--format", fmt], None),
+        ]
+    cases += [
+        (["complexity", "1,2,3", "9"], None),
+        (["lottery", "refcheck"], None),
+        (["lottery", "bulletin", "--seed", "1"], None),
+        (["lottery", "bulletin", "--seed", "3", "--n-random", "2", "--out", "{tmp}/b.txt"],
+         None),
+        (["oracle"] + ["1"] * 9, None),
+        (["oracle"] + ["1"] * 9 + ["--allow-long", "--trace"], None),
+        (["complexity"] + ["1"] * 9 + ["--oracle"], None),
+        (["complexity", "3", "x9"], None),
+        (["complexity", "1,-4"], None),
+        (["complexity", "7", "--config", "{tmp}/missing.cfg"], None),
+        (["complexity", "7", "--config", "{tmp}/combos.txt"], None),
+        (["lottery", "rank", "{tmp}/missing.txt"], None),
+        (["lottery", "rank"], "\n"),
+        (["lottery", "rank"], "1 2 3 4 5 x\n"),
+        (["surprise", "1", "2", "3"], None),
+        (["surprise", "33333", "--template", "poisson:3"], None),
+        (["lottery", "bulletin", "--seed", "1", "--out", "{tmp}/no-dir/b.txt"], None),
+        (["lottery", "experiment", "--seed", "7", "--mc-replications", "-3"], None),
+        (["lottery", "experiment", "--seed", "7", "--tau", "inf",
+          "--model", "complexity_weighted"], None),
+    ]
+    return cases
+
+
+# SHA-256 over the corpus: argv, exit status, stdout, stderr and every file
+# the command wrote, with the temporary directory masked.
+CORPUS_DIGEST = "a413906ec95db9a35460b42e12c2eba06099e203e4fb6cf1ed84311edf56e923"
+
+
+def test_cli_bytes_are_pinned(tmp_path, monkeypatch, capsys):
+    (tmp_path / "combos.txt").write_text(COMBOS)
+    (tmp_path / "wide.cfg").write_text(WIDE_STEPS)
+    (tmp_path / "model.cfg").write_text("copy_cost = 2.0\n")
+    before = {p.name for p in tmp_path.iterdir()}
+    tmp = str(tmp_path)
+    digest = hashlib.sha256()
+    for argv, stdin in _corpus():
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin or ""))
+        code, out, err = run(capsys, [a.format(tmp=tmp) for a in argv])
+        written = {p.name: p.read_text() for p in sorted(tmp_path.iterdir())
+                   if p.name not in before}
+        for p in written:
+            (tmp_path / p).unlink()
+        record = [argv, stdin, code, out, err.replace(tmp, "{tmp}"), written]
+        digest.update(json.dumps(record).encode() + b"\n")
+    assert digest.hexdigest() == CORPUS_DIGEST
 
 
 FORMAT_ARGV = {

@@ -283,10 +283,22 @@ def test_avoidance_probability_trivial_cases():
 
 
 def test_avoidance_probability_domain_errors():
-    with pytest.raises(ValueError):
-        avoidance_probability(14, 10, 5, 2)
+    with pytest.raises(ValueError, match="cannot choose 15 or avoid 2 among 14"):
+        avoidance_probability(14, 15, 2, 2)
+    with pytest.raises(ValueError, match="cannot choose 2 or avoid 15 among 14"):
+        avoidance_probability(14, 2, 15, 2)
     with pytest.raises(ValueError):
         avoidance_probability(14, -1, 2, 26)
+
+
+@pytest.mark.parametrize("n_choices,n_avoided", [(13, 2), (14, 2), (10, 5), (3, 14)])
+def test_avoidance_is_impossible_when_picks_must_hit(n_choices, n_avoided):
+    # more picks than unmarked entries: C(14 - n_avoided, n_choices) = 0
+    assert avoidance_probability(14, n_choices, n_avoided, 26) == 0.0
+    assert avoidance_probability_mc(14, n_choices, n_avoided, 26,
+                                    n_replications=500, seed=3) == 0.0
+    # with no subjects nobody picks, so nobody hits
+    assert avoidance_probability(14, n_choices, n_avoided, 0) == 1.0
 
 
 @settings(max_examples=60)
@@ -310,7 +322,7 @@ def test_avoidance_probability_monotone(n_total, n_choices, n_avoided, n_subject
        st.integers(min_value=0, max_value=5_000))
 def test_avoidance_probability_matches_rational(n_total, n_choices, n_avoided, n_subjects):
     # reference: the ratio as an exact rational, rounded to float once
-    if n_choices + n_avoided > n_total:
+    if max(n_choices, n_avoided) > n_total:
         return
     single = Fraction(math.comb(n_total - n_avoided, n_choices), math.comb(n_total, n_choices))
     assert avoidance_probability(n_total, n_choices, n_avoided,
@@ -396,8 +408,8 @@ def test_avoidance_mc_does_not_compute_the_exact_value(monkeypatch):
 
     monkeypatch.setattr(lottery, "avoidance_probability", exact)
     assert avoidance_probability_mc(14, 3, 2, 5, n_replications=10, seed=1) >= 0.0
-    with pytest.raises(ValueError, match="cannot choose 3 while avoiding 2 among 4"):
-        avoidance_probability_mc(4, 3, 2, 1, n_replications=10, seed=1)
+    with pytest.raises(ValueError, match="cannot choose 5 or avoid 2 among 4"):
+        avoidance_probability_mc(4, 5, 2, 1, n_replications=10, seed=1)
 
 
 def test_avoidance_mc_caps_the_draws_of_a_batch(monkeypatch):
@@ -429,7 +441,9 @@ def test_avoidance_mc_validates_arguments():
     with pytest.raises(ValueError):
         avoidance_probability_mc(14, 2, 2, 26, n_replications=0, seed=1)
     with pytest.raises(ValueError):
-        avoidance_probability_mc(4, 3, 2, 1, n_replications=10, seed=1)
+        avoidance_probability_mc(4, 5, 2, 1, n_replications=10, seed=1)
+    with pytest.raises(ValueError):
+        avoidance_probability_mc(4, 2, 5, 1, n_replications=10, seed=1)
 
 
 def test_bulletin_text_round_trip():
