@@ -15,44 +15,20 @@ by its reader ends the process by SIGPIPE, shell status 141.
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import signal
 import sys
-import traceback
+from typing import TYPE_CHECKING
 
 from .analyzer import analyze
-from .costmodel import CostModel, DEFAULT_MODEL, model_from_config_text
-from .lottery import (
-    COMPLEXITY_WEIGHTED,
-    UNIFORM,
-    ChoiceModel,
-    ExperimentConfig,
-    GenerationError,
-    avoidance_probability,
-    avoidance_probability_mc,
-    format_bulletin,
-    generate_bulletin,
-    parse_bulletin,
-    rank_combinations,
-    reference_rank_report,
-    simulate_subjects,
-)
-from .oracle import (
-    DEFAULT_OPERATORS,
-    FULL_OPERATORS,
-    SOFT_LENGTH_LIMIT,
-    SearchBudget,
-    oracle_min_cost,
-)
-from .program import DescriptionProgram
-from .surprise import (
-    ExpectationTemplate,
-    FixedBits,
-    KDigitNumber,
-    number_surprise,
-    sequence_surprise,
-)
+from .costmodel import DEFAULT_MODEL, model_from_config_text
+
+# What only some subcommands run (oracle, surprise, lottery, json) is imported
+# inside the functions that use it, so that a call loads no more than it runs.
+if TYPE_CHECKING:
+    from .costmodel import CostModel
+    from .program import DescriptionProgram
+    from .surprise import ExpectationTemplate
 
 
 class UsageError(ValueError):
@@ -81,6 +57,8 @@ def _parse_tokens(raw: list[str]) -> list[int]:
 
 
 def _parse_template(text: str) -> ExpectationTemplate:
+    from .surprise import FixedBits, KDigitNumber
+
     kind, _, arg = text.partition(":")
     try:
         if kind == "kdigit":
@@ -114,6 +92,7 @@ def _emit(record, fmt: str, trace: tuple[str, ...] = ()) -> None:
     JSON, which may also be a list.  Trace lines follow the record; in JSON
     they are its ``trace`` list."""
     if fmt == "json":
+        import json
         print(json.dumps({**record, "trace": list(trace)} if trace else record,
                          sort_keys=True, indent=2))
         return
@@ -137,6 +116,14 @@ def _print_ranked(rows) -> None:
 
 def _exact_search(tokens: list[int], model: CostModel,
                   args: argparse.Namespace) -> tuple[float, DescriptionProgram]:
+    from .oracle import (
+        DEFAULT_OPERATORS,
+        FULL_OPERATORS,
+        SOFT_LENGTH_LIMIT,
+        SearchBudget,
+        oracle_min_cost,
+    )
+
     if len(tokens) > SOFT_LENGTH_LIMIT and not args.allow_long:
         raise CapabilityError(
             f"exhaustive search supports at most {SOFT_LENGTH_LIMIT} tokens "
@@ -191,6 +178,8 @@ def cmd_oracle(args: argparse.Namespace, model: CostModel) -> int:
 
 
 def cmd_surprise(args: argparse.Namespace, model: CostModel) -> int:
+    from .surprise import number_surprise, sequence_surprise
+
     tokens = _parse_tokens(args.tokens)
     template = _parse_template(args.template) if args.template else None
     if len(tokens) == 1:
@@ -206,6 +195,8 @@ def cmd_surprise(args: argparse.Namespace, model: CostModel) -> int:
 
 
 def cmd_lottery_rank(args: argparse.Namespace, model: CostModel) -> int:
+    from .lottery import parse_bulletin, rank_combinations
+
     if args.file is None or args.file == "-":
         text = sys.stdin.read()
     else:
@@ -226,6 +217,8 @@ def cmd_lottery_rank(args: argparse.Namespace, model: CostModel) -> int:
 
 
 def cmd_lottery_refcheck(args: argparse.Namespace, model: CostModel) -> int:
+    from .lottery import reference_rank_report
+
     rep = reference_rank_report(model)
     if args.format == "json":
         _emit({
@@ -249,8 +242,18 @@ def cmd_lottery_refcheck(args: argparse.Namespace, model: CostModel) -> int:
 
 
 def cmd_lottery_bulletin(args: argparse.Namespace, model: CostModel) -> int:
+    from .lottery import (
+        ExperimentConfig,
+        GenerationError,
+        format_bulletin,
+        generate_bulletin,
+    )
+
     config = ExperimentConfig(seed=args.seed, n_random=args.n_random)
-    text = format_bulletin(generate_bulletin(config))
+    try:
+        text = format_bulletin(generate_bulletin(config))
+    except GenerationError as exc:
+        raise UsageError(str(exc)) from None
     if args.out:
         _write_file(args.out, text)
     else:
@@ -259,6 +262,15 @@ def cmd_lottery_bulletin(args: argparse.Namespace, model: CostModel) -> int:
 
 
 def cmd_lottery_experiment(args: argparse.Namespace, model: CostModel) -> int:
+    from .lottery import (
+        ChoiceModel,
+        ExperimentConfig,
+        GenerationError,
+        avoidance_probability,
+        avoidance_probability_mc,
+        simulate_subjects,
+    )
+
     if args.mc_replications < 0:
         raise UsageError(
             f"--mc-replications must be >= 0, got {args.mc_replications}")
@@ -270,7 +282,10 @@ def cmd_lottery_experiment(args: argparse.Namespace, model: CostModel) -> int:
         n_random=args.n_random,
         choice_model=choice,
     )
-    result = simulate_subjects(config, model)
+    try:
+        result = simulate_subjects(config, model)
+    except GenerationError as exc:
+        raise UsageError(str(exc)) from None
     if args.histogram_csv:
         _write_file(args.histogram_csv, result.histogram_csv())
     if args.format == "csv":
@@ -368,8 +383,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subjects", type=int, default=26)
     p.add_argument("--choices", type=int, default=2)
     p.add_argument("--n-random", type=int, default=4)
-    p.add_argument("--model", choices=(UNIFORM, COMPLEXITY_WEIGHTED),
-                   default=UNIFORM, help="subject choice model")
+    # lottery.UNIFORM and lottery.COMPLEXITY_WEIGHTED, written out so that
+    # parsing argv does not load the lottery
+    p.add_argument("--model", choices=("uniform", "complexity_weighted"),
+                   default="uniform", help="subject choice model")
     p.add_argument("--tau", type=float, default=7.0,
                    help="complexity threshold in bits for the weighted model")
     p.add_argument("--mc-replications", type=int, default=0,
@@ -393,10 +410,11 @@ def main(argv: list[str] | None = None) -> int:
     except CapabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (GenerationError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:
+        import traceback
         traceback.print_exc()
         return 1
 

@@ -279,6 +279,21 @@ def test_experiment_weighted_gate(capsys):
     assert obj["all_subjects_avoided_simplest"] is True
 
 
+def _subparser(parser, name):
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices[name]
+
+
+def test_model_choices_are_the_lottery_kinds():
+    # the parser spells the kinds out, so that it does not import the lottery
+    from seqsurprise import lottery
+
+    experiment = _subparser(_subparser(build_parser(), "lottery"), "experiment")
+    model = next(a for a in experiment._actions if a.dest == "model")
+    assert model.choices == (lottery.UNIFORM, lottery.COMPLEXITY_WEIGHTED)
+    assert model.default == lottery.UNIFORM
+
+
 # SHA-256 of the stdout of a weighted 200-subject experiment with a
 # Monte-Carlo estimate: every PCG64 stream the command draws feeds it.
 EXPERIMENT_STDOUT_DIGEST = "1f030de3edaed016a647eaa6c877c5d3fcd5f7bcf9886c8c806169ae76f961c0"
@@ -551,6 +566,43 @@ def test_numpy_loads_only_for_draws(call, loads_numpy, tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == f"{loads_numpy}\n"
+
+
+# The modules only some subcommands run, and those they run on every call.
+DEFERRED = ("json", "seqsurprise.lottery", "seqsurprise.oracle", "seqsurprise.surprise",
+            "traceback")
+DEFERRED_PROBE = """\
+import sys
+from seqsurprise.cli import main
+assert main({argv!r}) == {code}
+print(sorted(set({deferred!r}) & sys.modules.keys()), file=sys.stderr)
+"""
+
+# name: (argv, exit status, the DEFERRED modules the call must load)
+DEFERRED_CASES = {
+    "complexity": (["complexity", "1", "2", "3", "--trace"], 0, []),
+    "complexity-csv": (["complexity", "1", "2", "3", "--mirror", "--format", "csv"], 0, []),
+    "complexity-oracle": (["complexity", "1", "2", "3", "--oracle"], 0,
+                          ["seqsurprise.oracle"]),
+    "complexity-json": (["complexity", "1", "2", "3", "--format", "json"], 0, ["json"]),
+    "oracle": (["oracle", "7", "7", "8", "--format", "csv"], 0, ["seqsurprise.oracle"]),
+    "surprise": (["surprise", "1", "2", "3", "--template", "kdigit:3"], 0,
+                 ["seqsurprise.surprise"]),
+    "surprise-json": (["surprise", "33333", "--format", "json"], 0,
+                      ["json", "seqsurprise.surprise"]),
+    "lottery-refcheck": (["lottery", "refcheck"], 0, ["seqsurprise.lottery"]),
+    "usage-error": (["complexity", "3", "x9"], 2, []),
+}
+
+
+@pytest.mark.parametrize("argv,code,loaded", DEFERRED_CASES.values(), ids=DEFERRED_CASES)
+def test_a_call_loads_only_what_its_subcommand_runs(argv, code, loaded):
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         DEFERRED_PROBE.format(argv=argv, code=code, deferred=DEFERRED)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == str(loaded)
 
 
 def test_import_loads_no_rational_arithmetic():
