@@ -274,6 +274,8 @@ def cmd_lottery_experiment(args: argparse.Namespace, model: CostModel) -> int:
     if args.mc_replications < 0:
         raise UsageError(
             f"--mc-replications must be >= 0, got {args.mc_replications}")
+    if args.mc_replications and args.format == "csv":
+        raise UsageError("--mc-replications applies only with --format plain or json")
     choice = ChoiceModel(kind=args.model, tau=args.tau)
     config = ExperimentConfig(
         seed=args.seed,

@@ -194,6 +194,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.n_random < 0 or self.n_choices_per_subject < 0 or self.n_subjects < 0:
             raise ValueError("experiment sizes must be nonnegative")
+        _check_seed(self.seed)
         # More draws than tickets left would only end after a long futile search.
         free = math.comb(POOL_SIZE, COMBINATION_LENGTH) - len(self.fixed_combinations)
         if self.n_random > free:
@@ -348,6 +349,12 @@ def simulate_subjects(config: ExperimentConfig,
     )
 
 
+def _check_seed(seed: int) -> None:
+    # numpy's SeedSequence rejects a negative entropy without naming it
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+
+
 # --- avoidance statistics -------------------------------------------------
 
 def _check_avoidance_args(n_total: int, n_choices: int, n_avoided: int,
@@ -393,6 +400,7 @@ def avoidance_probability_mc(n_total: int, n_choices: int, n_avoided: int,
     """
     if n_replications < 1:
         raise ValueError("n_replications must be >= 1")
+    _check_seed(seed)
     _check_avoidance_args(n_total, n_choices, n_avoided, n_subjects)
     if n_choices == 0:
         return 1.0

@@ -334,6 +334,7 @@ def test_experiment_choosing_past_the_unmarked_entries(choices, capsys):
     ["--mc-replications", "-3"],
     ["--tau", "inf", "--model", "complexity_weighted"],
     ["--tau=-inf", "--model", "complexity_weighted"],
+    ["--seed", "-1"],
 ])
 def test_experiment_rejects_invalid_option(option, capsys):
     code, out, err = run(capsys, ["lottery", "experiment", "--seed", "7",
@@ -370,13 +371,24 @@ def test_unwritable_output_file_is_usage_error(argv, tmp_path, capsys):
     assert str(missing) in err
 
 
-def test_experiment_csv_and_histogram_file(tmp_path, capsys):
+def test_experiment_csv_and_histogram_file(tmp_path, monkeypatch, capsys):
+    from seqsurprise import lottery
+
     hist = tmp_path / "hist.csv"
-    code, out, _ = run(capsys, ["lottery", "experiment", "--seed", "4",
-                                "--format", "csv", "--histogram-csv", str(hist)])
+    argv = ["lottery", "experiment", "--seed", "4", "--format", "csv",
+            "--histogram-csv", str(hist)]
+    code, out, _ = run(capsys, argv)
     assert code == 0
     assert out.startswith("bin,count\n")
     assert hist.read_text() == out
+    # csv prints the histogram alone, so an estimate is refused before the
+    # subjects are simulated and before the file is written
+    hist.unlink()
+    monkeypatch.setattr(lottery, "simulate_subjects", None)
+    code, out, err = run(capsys, argv + ["--mc-replications", "100"])
+    assert (code, out) == (2, "")
+    assert err == "error: --mc-replications applies only with --format plain or json\n"
+    assert not hist.exists()
 
 
 COMBOS = "1 2 3 4 5 6\n14 24 36 38 42 44\n10 20 30 31 32 33\n"
@@ -445,7 +457,7 @@ def _corpus():
 
 # SHA-256 over the corpus: argv, exit status, stdout, stderr and every file
 # the command wrote, with the temporary directory masked.
-CORPUS_DIGEST = "a413906ec95db9a35460b42e12c2eba06099e203e4fb6cf1ed84311edf56e923"
+CORPUS_DIGEST = "7455ae77c64edcedfa88ead4d1b5fc99ecad28f70559636f9077619f65a065c2"
 
 
 def test_cli_bytes_are_pinned(tmp_path, monkeypatch, capsys):

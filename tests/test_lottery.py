@@ -143,6 +143,8 @@ def test_experiment_config_validation():
         ExperimentConfig(n_random=tickets - 9)
     with pytest.raises(ValueError):
         ExperimentConfig(fixed_combinations=(), n_random=tickets + 1)
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+        ExperimentConfig(seed=-1)
 
 
 def test_choice_model_weights():
@@ -289,6 +291,8 @@ def test_avoidance_probability_domain_errors():
         avoidance_probability(14, 2, 15, 2)
     with pytest.raises(ValueError):
         avoidance_probability(14, -1, 2, 26)
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -5"):
+        avoidance_probability_mc(14, 2, 2, 26, n_replications=10, seed=-5)
 
 
 @pytest.mark.parametrize("n_choices,n_avoided", [(13, 2), (14, 2), (10, 5), (3, 14)])
