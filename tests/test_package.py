@@ -28,7 +28,7 @@ def test_star_import_and_dir_list_every_public_name():
 
 def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
-        seqsurprise.no_such_name  # noqa: B018
+        seqsurprise.no_such_name
     assert not hasattr(seqsurprise, "UNIFORM")  # defined in lottery, not public
 
 
