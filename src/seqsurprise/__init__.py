@@ -27,7 +27,6 @@ _HOMES = {
             "DEFAULT_FIXED_COMBINATIONS",
             "ExperimentConfig",
             "ExperimentResult",
-            "GenerationError",
             "LotteryCombination",
             "REFERENCE_COMBINATIONS",
             "avoidance_probability",
@@ -73,6 +72,7 @@ _HOMES = {
     }.items()
     for name in names
 }
+__all__ = sorted(_HOMES)
 
 
 def __getattr__(name: str):
@@ -88,56 +88,3 @@ def __getattr__(name: str):
 def __dir__() -> list[str]:
     return sorted(globals().keys() | _HOMES.keys())
 
-
-__all__ = [
-    "Bits",
-    "ChoiceModel",
-    "CostModel",
-    "DEFAULT_FIXED_COMBINATIONS",
-    "DEFAULT_MODEL",
-    "DEFAULT_OPERATORS",
-    "DescriptionProgram",
-    "ExpectationTemplate",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "FULL_OPERATORS",
-    "FixedBits",
-    "GenerationError",
-    "KDigitNumber",
-    "LotteryCombination",
-    "MonteCarloPool",
-    "OpKind",
-    "Operation",
-    "REFERENCE_COMBINATIONS",
-    "ReplayError",
-    "SOFT_LENGTH_LIMIT",
-    "SearchBudget",
-    "StmState",
-    "SurpriseReport",
-    "algorithmic_probability",
-    "analyze",
-    "analyze_many",
-    "avoidance_probability",
-    "avoidance_probability_mc",
-    "combination_complexity",
-    "derive_10_to_70",
-    "expected_complexity",
-    "format_bulletin",
-    "generate_bulletin",
-    "model_from_config_text",
-    "model_to_config_text",
-    "naive_cost",
-    "number_complexity",
-    "number_surprise",
-    "observed_number_complexity",
-    "oracle_min_cost",
-    "parse_bulletin",
-    "rank_combinations",
-    "reference_rank_report",
-    "replay",
-    "sequence_surprise",
-    "simulate_subjects",
-    "subjective_probability",
-    "surprise_from_costs",
-    "unexpectedness",
-]

@@ -2,8 +2,9 @@
 
 Deterministic and scriptable: the same argv always produces the same
 bytes on stdout.  Each subcommand accepts only the options it honours:
-``lottery bulletin`` takes no ``--config`` or ``--format``, and
-``lottery refcheck`` prints json or plain only.  Exit codes: 0 success,
+``lottery bulletin`` takes no ``--config`` or ``--format``,
+``lottery refcheck`` prints json or plain only, and ``lottery
+experiment`` takes ``--tau`` only with the weighted choice model.  Exit codes: 0 success,
 2 bad usage (including an option the subcommand does not take),
 unparsable input or a file that cannot be read or written, 3 capability
 limit (exhaustive search on sequences longer than the supported size or
@@ -242,18 +243,10 @@ def cmd_lottery_refcheck(args: argparse.Namespace, model: CostModel) -> int:
 
 
 def cmd_lottery_bulletin(args: argparse.Namespace, model: CostModel) -> int:
-    from .lottery import (
-        ExperimentConfig,
-        GenerationError,
-        format_bulletin,
-        generate_bulletin,
-    )
+    from .lottery import ExperimentConfig, format_bulletin, generate_bulletin
 
     config = ExperimentConfig(seed=args.seed, n_random=args.n_random)
-    try:
-        text = format_bulletin(generate_bulletin(config))
-    except GenerationError as exc:
-        raise UsageError(str(exc)) from None
+    text = format_bulletin(generate_bulletin(config))
     if args.out:
         _write_file(args.out, text)
     else:
@@ -263,9 +256,9 @@ def cmd_lottery_bulletin(args: argparse.Namespace, model: CostModel) -> int:
 
 def cmd_lottery_experiment(args: argparse.Namespace, model: CostModel) -> int:
     from .lottery import (
+        UNIFORM,
         ChoiceModel,
         ExperimentConfig,
-        GenerationError,
         avoidance_probability,
         avoidance_probability_mc,
         simulate_subjects,
@@ -276,7 +269,9 @@ def cmd_lottery_experiment(args: argparse.Namespace, model: CostModel) -> int:
             f"--mc-replications must be >= 0, got {args.mc_replications}")
     if args.mc_replications and args.format == "csv":
         raise UsageError("--mc-replications applies only with --format plain or json")
-    choice = ChoiceModel(kind=args.model, tau=args.tau)
+    if args.tau is not None and args.model == UNIFORM:
+        raise UsageError("--tau applies only with --model complexity_weighted")
+    choice = ChoiceModel(args.model) if args.tau is None else ChoiceModel(args.model, args.tau)
     config = ExperimentConfig(
         seed=args.seed,
         n_subjects=args.subjects,
@@ -284,10 +279,7 @@ def cmd_lottery_experiment(args: argparse.Namespace, model: CostModel) -> int:
         n_random=args.n_random,
         choice_model=choice,
     )
-    try:
-        result = simulate_subjects(config, model)
-    except GenerationError as exc:
-        raise UsageError(str(exc)) from None
+    result = simulate_subjects(config, model)
     if args.histogram_csv:
         _write_file(args.histogram_csv, result.histogram_csv())
     if args.format == "csv":
@@ -389,8 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
     # parsing argv does not load the lottery
     p.add_argument("--model", choices=("uniform", "complexity_weighted"),
                    default="uniform", help="subject choice model")
-    p.add_argument("--tau", type=float, default=7.0,
-                   help="complexity threshold in bits for the weighted model")
+    p.add_argument("--tau", type=float,
+                   help="complexity threshold in bits for the weighted model "
+                        "(default 7)")
     p.add_argument("--mc-replications", type=int, default=0,
                    help="also estimate the avoidance probability by simulation")
     p.add_argument("--histogram-csv", metavar="FILE",

@@ -83,10 +83,6 @@ DEFAULT_FIXED_COMBINATIONS: tuple[LotteryCombination, ...] = REFERENCE_COMBINATI
 )
 
 
-class GenerationError(RuntimeError):
-    """Bulletin generation could not satisfy the uniqueness constraints."""
-
-
 def combination_complexity(combo: LotteryCombination,
                            model: CostModel = DEFAULT_MODEL) -> Bits:
     """Description cost of the combination read in ascending order."""
@@ -195,7 +191,10 @@ class ExperimentConfig:
         if self.n_random < 0 or self.n_choices_per_subject < 0 or self.n_subjects < 0:
             raise ValueError("experiment sizes must be nonnegative")
         _check_seed(self.seed)
-        # More draws than tickets left would only end after a long futile search.
+        if len({combo.numbers for combo in self.fixed_combinations}) != len(
+                self.fixed_combinations):
+            raise ValueError("fixed combinations must be distinct")
+        # More draws than tickets left would never end.
         free = math.comb(POOL_SIZE, COMBINATION_LENGTH) - len(self.fixed_combinations)
         if self.n_random > free:
             raise ValueError(
@@ -240,11 +239,15 @@ class ExperimentResult:
         }
 
 
-def _subject_rng(seed: int, subject: int) -> np.random.Generator:
-    # One documented stream per subject: PCG64 seeded by (seed, subject).
+def _generator(seed: int, *spawn_key: int) -> np.random.Generator:
+    """The documented stream: PCG64 seeded by ``seed`` and ``spawn_key``.
+
+    Without a spawn key this is the stream of ``SeedSequence(seed)``.
+    """
+    _check_seed(seed)
     import numpy as np
     return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(entropy=seed, spawn_key=(subject,))))
+        np.random.SeedSequence(seed, spawn_key=spawn_key)))
 
 
 def _draw_random_combination(rng: np.random.Generator) -> LotteryCombination:
@@ -257,23 +260,13 @@ def generate_bulletin(config: ExperimentConfig,
                       ) -> list[LotteryCombination]:
     """Fixed combinations plus fresh distinct random draws, shuffled.
 
-    Same config and seed give the same bulletin.  Raises
-    :class:`GenerationError` if distinct draws cannot be found in a
-    bounded number of attempts.
+    Same config and seed give the same bulletin.
     """
     if rng is None:
-        import numpy as np
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
+        rng = _generator(config.seed)
     seen = {combo.numbers for combo in config.fixed_combinations}
-    if len(seen) != len(config.fixed_combinations):
-        raise GenerationError("fixed combinations are not distinct")
     bulletin = list(config.fixed_combinations)
-    attempts = 0
     while len(bulletin) < len(config.fixed_combinations) + config.n_random:
-        attempts += 1
-        if attempts > 1000 * (config.n_random + 1):
-            raise GenerationError(
-                f"could not draw {config.n_random} distinct combinations")
         combo = _draw_random_combination(rng)
         if combo.numbers in seen:
             continue
@@ -314,7 +307,7 @@ def simulate_subjects(config: ExperimentConfig,
     # bulletins can be drawn first and every distinct ticket priced once.
     subjects = []
     for s in range(config.n_subjects):
-        rng = _subject_rng(config.seed, s)
+        rng = _generator(config.seed, s)
         subjects.append((rng, generate_bulletin(config, rng)))
     tickets = dict.fromkeys([combo.numbers for combo in config.fixed_combinations]
                             + [combo.numbers for _, bulletin in subjects
@@ -405,7 +398,7 @@ def avoidance_probability_mc(n_total: int, n_choices: int, n_avoided: int,
     if n_choices == 0:
         return 1.0
     import numpy as np
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = _generator(seed)
     # int16 holds the draws, and so fixes the streams, of every bulletin
     # up to 2**15 entries; larger ones need a wider type.
     dtype = (np.int16 if n_total <= 2**15

@@ -58,6 +58,9 @@ class MonteCarloPool:
     def __post_init__(self) -> None:
         if self.n_samples < 1:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
+        # numpy's SeedSequence rejects a negative entropy without naming it
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 ExpectationTemplate = KDigitNumber | FixedBits | MonteCarloPool

@@ -122,6 +122,7 @@ def test_unhonoured_options_are_usage_errors(tmp_path, capsys):
         ["lottery", "bulletin", "--seed", "1", "--config", str(bad_cfg)],
         ["lottery", "refcheck", "--format", "csv"],
         ["complexity", "1", "2", "3", "--allow-long"],
+        ["lottery", "experiment", "--seed", "1", "--tau", "5"],
     ):
         code, out, err = run(capsys, argv)
         assert code == 2, argv

@@ -17,7 +17,6 @@ from seqsurprise.lottery import (
     ChoiceModel,
     DEFAULT_FIXED_COMBINATIONS,
     ExperimentConfig,
-    GenerationError,
     LotteryCombination,
     REFERENCE_COMBINATIONS,
     avoidance_probability,
@@ -125,9 +124,10 @@ def test_generate_bulletin_without_random_is_a_shuffle():
 
 
 def test_generate_bulletin_rejects_duplicate_fixed():
+    # the config refuses them, so no bulletin is ever drawn from them
     c = combo(1, 2, 3, 4, 5, 6)
-    with pytest.raises(GenerationError):
-        generate_bulletin(ExperimentConfig(fixed_combinations=(c, c), seed=0))
+    with pytest.raises(ValueError, match="fixed combinations must be distinct"):
+        ExperimentConfig(fixed_combinations=(c, c), seed=0)
 
 
 def test_experiment_config_validation():

@@ -41,6 +41,8 @@ def test_template_validation():
         FixedBits(-1.0)
     with pytest.raises(ValueError):
         MonteCarloPool(sampler=six_of_49, n_samples=0, seed=1)
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+        MonteCarloPool(sampler=six_of_49, n_samples=1, seed=-1)
 
 
 def test_fixed_template_passthrough():
