@@ -106,25 +106,29 @@ def observed_number_complexity(n: int, model: CostModel = DEFAULT_MODEL
 
     One copy charge creates the digit slots; each maximal run of equal
     digits then costs a single digit choice (log2 10), with a zero right
-    after a nine charged at the model's dearer rate.  A number with no
-    repeated adjacent digits therefore costs exactly the expected k-digit
-    process and carries no surprise.
+    after a nine charged at the model's dearer rate.  The digit choices are
+    counted and priced by the same expression as the expected k-digit
+    process, so a number with no repeated adjacent digits and no zero after
+    a nine costs exactly that and carries no surprise (U = 0).
     """
     if n < 0:
         raise ValueError(f"expected a nonnegative number, got {n}")
     digits = [int(ch) for ch in str(n)]
-    total = model.copy_cost
+    choices = zeros_after_nine = 0
     lines = [f"digit-slot copy: {model.copy_cost:.6f}"]
     prev: int | None = None
     for d in digits:
         if prev is not None and d == prev:
             lines.append(f"digit {d}: repeat, free")
+        elif d == 0 and prev == 9:
+            zeros_after_nine += 1
+            lines.append(f"digit {d}: {model.zero_after_nine_cost:.6f}")
         else:
-            bits = (model.zero_after_nine_cost
-                    if d == 0 and prev == 9 else DIGIT_CHOICE_BITS)
-            total += bits
-            lines.append(f"digit {d}: {bits:.6f}")
+            choices += 1
+            lines.append(f"digit {d}: {DIGIT_CHOICE_BITS:.6f}")
         prev = d
+    total = (model.copy_cost + choices * DIGIT_CHOICE_BITS
+             + zeros_after_nine * model.zero_after_nine_cost)
     lines.append(f"total: {total:.6f}")
     return total, tuple(lines)
 

@@ -458,7 +458,7 @@ def _corpus():
 
 # SHA-256 over the corpus: argv, exit status, stdout, stderr and every file
 # the command wrote, with the temporary directory masked.
-CORPUS_DIGEST = "7455ae77c64edcedfa88ead4d1b5fc99ecad28f70559636f9077619f65a065c2"
+CORPUS_DIGEST = "6b2b01a28714cc9e3bc9c27e459f6fccf57fc9717bfc08215a857c7999c15819"
 
 
 def test_cli_bytes_are_pinned(tmp_path, monkeypatch, capsys):

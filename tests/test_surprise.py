@@ -125,6 +125,17 @@ def test_number_surprise_structureless_case():
     assert report.p == pytest.approx(1.0, rel=1e-9)
 
 
+def test_every_structureless_number_has_exactly_zero_surprise():
+    # no repeated adjacent digit and no zero after a nine: both sides are
+    # priced by one expression, so U is 0 exactly, not up to rounding
+    for n in range(10, 10**5):
+        digits = str(n)
+        if "90" in digits or any(a == b for a, b in zip(digits, digits[1:])):
+            continue
+        report = number_surprise(n)
+        assert (report.u, report.p) == (0.0, 1.0), n
+
+
 def test_number_surprise_short_repeat():
     report = number_surprise(777)
     assert report.u == pytest.approx(2 * LOG2_10, abs=1e-9)
