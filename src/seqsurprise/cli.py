@@ -2,9 +2,9 @@
 
 Deterministic and scriptable: the same argv always produces the same
 bytes on stdout.  Each subcommand accepts only the options it honours:
-``lottery bulletin`` takes no ``--config`` or ``--format``,
-``lottery refcheck`` prints json or plain only, and ``lottery
-experiment`` takes ``--tau`` only with the weighted choice model.  Exit codes: 0 success,
+``lottery bulletin`` takes no ``--config`` or ``--format``, ``lottery
+refcheck`` prints json or plain only, and ``lottery experiment`` takes
+``--tau`` only with the weighted choice model.  Exit codes: 0 success,
 2 bad usage (including an option the subcommand does not take),
 unparsable input or a file that cannot be read or written, 3 capability
 limit (exhaustive search on sequences longer than the supported size or

@@ -22,8 +22,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 WORKLOAD_NAMES = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())
                   ["workloads"]]
-# Timed operations run after the warm-up: one block of the input mix, so that
-# cli-oneshot calls every subcommand in its deck, at most this many.
+# Inputs run after the warm-up: one block of the mix, so that cli-oneshot
+# calls every subcommand of its deck, but no more than this.
 MAX_TIMED = 20
 
 
