@@ -240,9 +240,10 @@ class ExperimentResult:
 
 
 def _generator(seed: int, *spawn_key: int) -> np.random.Generator:
-    """The documented stream: PCG64 seeded by ``seed`` and ``spawn_key``.
+    """Every lottery draw's stream: PCG64 seeded by ``seed`` and ``spawn_key``.
 
-    Without a spawn key this is the stream of ``SeedSequence(seed)``.
+    A subject's stream has the key ``(subject,)``; without a key this is
+    the stream of ``SeedSequence(seed)``.
     """
     _check_seed(seed)
     import numpy as np
