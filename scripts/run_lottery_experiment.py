@@ -37,15 +37,21 @@ def parse_args() -> argparse.Namespace:
     parser.add_argument("--choices", type=int, default=2)
     parser.add_argument("--choice-model", choices=(UNIFORM, COMPLEXITY_WEIGHTED),
                         default=UNIFORM)
-    parser.add_argument("--tau", type=float, default=7.0)
+    parser.add_argument("--tau", type=float,
+                        help="complexity threshold in bits (default 7); "
+                             "only with --choice-model complexity_weighted")
     parser.add_argument("--out-dir", type=pathlib.Path, default=pathlib.Path("results"))
-    return parser.parse_args()
+    args = parser.parse_args()
+    if args.tau is not None and args.choice_model == UNIFORM:
+        parser.error("--tau applies only with --choice-model complexity_weighted")
+    return args
 
 
 def main() -> None:
     args = parse_args()
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    choice = ChoiceModel(kind=args.choice_model, tau=args.tau)
+    choice = (ChoiceModel(args.choice_model) if args.tau is None
+              else ChoiceModel(args.choice_model, args.tau))
 
     base = ExperimentConfig(
         seed=args.base_seed,

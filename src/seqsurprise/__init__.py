@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 _HOMES = {
     name: module
     for module, names in {
-        "analyzer": ("analyze", "analyze_many", "derive_10_to_70", "naive_cost"),
+        "analyzer": ("analyze", "derive_10_to_70", "naive_cost", "price_many"),
         "costmodel": (
             "Bits",
             "CostModel",

@@ -24,9 +24,14 @@ How a token can be read depends only on the token, on whether it opens
 the sequence and on the step from the previous token, so one
 :class:`MoveTable` per call prices each ``(token, first)`` pair and each
 step once, for this scan and for the exact search in
-:mod:`seqsurprise.oracle` alike.  It is never kept for the process:
-:func:`analyze_many` builds one per batch and drops it with the
-iterator.  :func:`analyze` is a batch of one.
+:mod:`seqsurprise.oracle` alike.  The scan holds its short-term memory
+as a tuple of slot keys, so the table also keeps, for each step and
+memory it meets, the move taken and the memory left behind.  The table
+is never kept for the process: :func:`price_many` builds one per batch
+and drops it with the iterator, and :func:`analyze` builds one per call.
+
+:func:`price_many` yields costs only; :func:`analyze` flattens the same
+scan's moves into a validated :class:`DescriptionProgram`.
 """
 
 from __future__ import annotations
@@ -126,13 +131,16 @@ class MoveTable:
 
     ``fresh`` gives a ``(token, first)`` pair's fresh moves in canonical
     order and the cheapest of them (``min`` keeps the first of equal
-    costs); ``explained`` gives the :func:`explained_move` pair of a step.
+    costs); ``explained`` gives the :func:`explained_move` pair of a step;
+    ``held`` gives the move a step takes from a short-term memory and the
+    memory it leaves.
     """
 
     def __init__(self, model: CostModel) -> None:
         self.model = model
         self._fresh: dict[tuple[int, bool], tuple[tuple[Move, ...], Move]] = {}
         self._steps: dict[int, tuple[Move, Move] | None] = {}
+        self._held: dict[tuple[int, tuple], tuple[Move, tuple] | None] = {}
 
     def fresh(self, token: int, first: bool) -> tuple[tuple[Move, ...], Move]:
         entry = self._fresh.get((token, first))
@@ -147,22 +155,40 @@ class MoveTable:
             self._steps[step] = explained_move(token, prev, self.model)
         return self._steps[step]
 
-
-def _scan(toks: tuple[int, ...], table: MoveTable) -> DescriptionProgram:
-    stm = StmState(table.model.stm_capacity)
-    ops: list[Operation] = []
-    total = 0.0
-    for i, token in enumerate(toks):
-        pair = None if i == 0 else table.explained(token, toks[i - 1])
-        if pair is None:
-            move = table.fresh(token, i == 0)[1]
-        else:
+    def held(self, token: int, prev: int, slots: tuple) -> tuple[Move, tuple] | None:
+        """The COPY or INCREMENT move from ``prev`` to ``token`` under the
+        memory ``slots`` (slot keys, least recently used first) and the
+        slots it leaves, or None when neither reading applies."""
+        key = (token - prev, slots)
+        try:
+            return self._held[key]
+        except KeyError:
+            pass
+        entry = None
+        pair = self.explained(token, prev)
+        if pair is not None:
             charged, free = pair
-            move = free if charged.key in stm else charged
+            move = free if charged.key in slots else charged
+            stm = StmState(self.model.stm_capacity, list(slots))
             stm.touch(move.key)
-        ops.extend(move.ops)
+            entry = (move, tuple(stm.slots))
+        self._held[key] = entry
+        return entry
+
+
+def _scan(toks: tuple[int, ...], table: MoveTable) -> tuple[Bits, list[Move]]:
+    """Total cost and moves of the left-to-right scan, adding costs in order."""
+    move = table.fresh(toks[0], True)[1]
+    total, moves, slots = move.cost, [move], ()
+    for prev, token in zip(toks, toks[1:]):
+        held = table.held(token, prev, slots)
+        if held is None:
+            move = table.fresh(token, False)[1]
+        else:
+            move, slots = held
+        moves.append(move)
         total += move.cost
-    return DescriptionProgram(tuple(ops), total, toks)
+    return total, moves
 
 
 def naive_cost(seq: Sequence[int], model: CostModel = DEFAULT_MODEL) -> Bits:
@@ -175,30 +201,30 @@ def naive_cost(seq: Sequence[int], model: CostModel = DEFAULT_MODEL) -> Bits:
 
 
 def _describe(toks: tuple[int, ...], table: MoveTable,
-              enable_mirror: bool) -> DescriptionProgram:
-    best = _scan(toks, table)
+              enable_mirror: bool) -> tuple[Bits, list[Move]]:
+    total, moves = _scan(toks, table)
     n = len(toks)
     if enable_mirror and n >= 2 and n % 2 == 0 and toks == toks[::-1]:
-        half = _describe(toks[: n // 2], table, True)
-        mirrored_total = half.total_cost + table.model.mirror_cost
-        if mirrored_total < best.total_cost - 1e-12:
-            ops = half.ops + (Operation(OpKind.MIRROR, (), table.model.mirror_cost),)
-            best = DescriptionProgram(ops, mirrored_total, toks)
-    return best
+        half_total, half_moves = _describe(toks[: n // 2], table, True)
+        mirror_cost = table.model.mirror_cost
+        if half_total + mirror_cost < total - 1e-12:
+            mirror = Move((Operation(OpKind.MIRROR, (), mirror_cost),), mirror_cost)
+            return half_total + mirror_cost, half_moves + [mirror]
+    return total, moves
 
 
-def analyze_many(seqs: Iterable[Sequence[int]], model: CostModel = DEFAULT_MODEL, *,
-                 enable_mirror: bool = False) -> Iterator[DescriptionProgram]:
-    """Describe each sequence in turn, lazily, as :func:`analyze` would.
+def price_many(seqs: Iterable[Sequence[int]],
+               model: CostModel = DEFAULT_MODEL) -> Iterator[Bits]:
+    """Yield each sequence's cost in turn, lazily, as :func:`analyze` prices it.
 
-    Every move is priced once per call, in one :class:`MoveTable`, and
-    reused for every later sequence of the batch.  The table lives only
-    as long as the returned iterator, and no program is kept after it is
-    yielded.
+    No program is built.  Every move, and every move taken from each
+    short-term memory, is priced once per call in one :class:`MoveTable`
+    and reused for every later sequence of the batch; the table lives
+    only as long as the returned iterator.
     """
     table = MoveTable(model)
     for seq in seqs:
-        yield _describe(check_sequence(seq), table, enable_mirror)
+        yield _scan(check_sequence(seq), table)[0]
 
 
 def analyze(seq: Sequence[int], model: CostModel = DEFAULT_MODEL, *,
@@ -209,7 +235,9 @@ def analyze(seq: Sequence[int], model: CostModel = DEFAULT_MODEL, *,
     first half plus one MIRROR operation; the cheaper of the two readings
     wins, with the plain scan preferred on ties.
     """
-    return next(analyze_many([seq], model, enable_mirror=enable_mirror))
+    toks = check_sequence(seq)
+    total, moves = _describe(toks, MoveTable(model), enable_mirror)
+    return DescriptionProgram(tuple(op for move in moves for op in move.ops), total, toks)
 
 
 def derive_10_to_70(model: CostModel = DEFAULT_MODEL) -> DescriptionProgram:

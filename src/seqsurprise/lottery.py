@@ -16,7 +16,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .analyzer import analyze, analyze_many
+from .analyzer import price_many
 from .costmodel import Bits, CostModel, DEFAULT_MODEL
 
 # Only the functions that draw random numbers import numpy, so that
@@ -86,7 +86,7 @@ DEFAULT_FIXED_COMBINATIONS: tuple[LotteryCombination, ...] = REFERENCE_COMBINATI
 def combination_complexity(combo: LotteryCombination,
                            model: CostModel = DEFAULT_MODEL) -> Bits:
     """Description cost of the combination read in ascending order."""
-    return analyze(list(combo.numbers), model).total_cost
+    return next(price_many([combo.numbers], model))
 
 
 def rank_combinations(combos: Iterable[LotteryCombination],
@@ -94,8 +94,7 @@ def rank_combinations(combos: Iterable[LotteryCombination],
                       ) -> list[tuple[LotteryCombination, Bits]]:
     """Sort simplest first; equal costs fall back to numeric order."""
     combos = list(combos)
-    programs = analyze_many((combo.numbers for combo in combos), model)
-    scored = [(combo, prog.total_cost) for combo, prog in zip(combos, programs)]
+    scored = list(zip(combos, price_many((combo.numbers for combo in combos), model)))
     scored.sort(key=lambda item: (item[1], item[0].numbers))
     return scored
 
@@ -121,9 +120,8 @@ def reference_rank_report(model: CostModel = DEFAULT_MODEL) -> ReferenceRankRepo
     must stay within one bit of itself, and the two simplest entries must
     sit at least two bits below everything else.
     """
-    programs = analyze_many((combo.numbers for combo in REFERENCE_COMBINATIONS), model)
-    rows = tuple((combo, prog.total_cost)
-                 for combo, prog in zip(REFERENCE_COMBINATIONS, programs))
+    rows = tuple(zip(REFERENCE_COMBINATIONS,
+                     price_many((combo.numbers for combo in REFERENCE_COMBINATIONS), model)))
     costs = [bits for _, bits in rows]
     order_ok = True
     prev_max = -math.inf
@@ -313,8 +311,7 @@ def simulate_subjects(config: ExperimentConfig,
     tickets = dict.fromkeys([combo.numbers for combo in config.fixed_combinations]
                             + [combo.numbers for _, bulletin in subjects
                                for combo in bulletin])
-    bits_of = {numbers: prog.total_cost
-               for numbers, prog in zip(tickets, analyze_many(tickets, model))}
+    bits_of = dict(zip(tickets, price_many(tickets, model)))
     fixed = sorted((combo.numbers for combo in config.fixed_combinations),
                    key=lambda numbers: (bits_of[numbers], numbers))
     marked = set(fixed[:2])

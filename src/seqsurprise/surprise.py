@@ -16,7 +16,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .analyzer import analyze, analyze_many
+from .analyzer import analyze, price_many
 from .costmodel import Bits, CostModel, DEFAULT_MODEL
 
 if TYPE_CHECKING:
@@ -77,8 +77,9 @@ def expected_complexity(template: ExpectationTemplate,
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(template.seed)))
         samples = (template.sampler(rng) for _ in range(template.n_samples))
         total = 0.0
-        for prog in analyze_many(samples, model):
-            total += prog.total_cost
+        # a left-to-right sum: sum() compensates float rounding from Python 3.12
+        for bits in price_many(samples, model):
+            total += bits
         return total / template.n_samples
     raise TypeError(f"unknown expectation template {template!r}")
 

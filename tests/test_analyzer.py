@@ -12,11 +12,11 @@ from seqsurprise.analyzer import (
     PATH_REPEAT,
     PATH_STEP,
     analyze,
-    analyze_many,
     derive_10_to_70,
     explained_move,
     fresh_moves,
     naive_cost,
+    price_many,
     split_readings,
 )
 from seqsurprise.costmodel import CostModel, DEFAULT_MODEL
@@ -247,19 +247,20 @@ def test_batch_prices_like_one_call_per_sequence(seqs, model, other, mirror, rnd
     rnd.shuffle(seqs)
     # a batch under another model in between must not leak into the next
     for m in (model, other, model):
-        batch = analyze_many(seqs, m, enable_mirror=mirror)
-        for seq, prog in zip(seqs, batch, strict=True):
+        batch = price_many(seqs, m)
+        for seq, bits in zip(seqs, batch, strict=True):
+            assert bits == analyze(seq, m).total_cost == _rescan(tuple(seq), m, False)[1]
             alone = analyze(seq, m, enable_mirror=mirror)
             ref_ops, ref_total = _rescan(tuple(seq), m, mirror)
-            assert prog.total_cost == alone.total_cost == ref_total
-            assert op_tuples(prog.ops) == op_tuples(alone.ops) == op_tuples(ref_ops)
-            assert prog.reconstructs == tuple(seq)
+            assert alone.total_cost == ref_total
+            assert op_tuples(alone.ops) == op_tuples(ref_ops)
+            assert alone.reconstructs == tuple(seq)
 
 
 def test_each_fresh_reading_is_priced_once_per_call(monkeypatch):
     seqs = [[3, 3, 7, 5], [5, 3, 9, 5], [7, 10, 3], [1, 2, 2, 1],
             [10, 44, 44, 10], [44, 10]] * 20
-    expected = [op_tuples(analyze(s, enable_mirror=True).ops) for s in seqs]
+    expected = [analyze(s).total_cost for s in seqs]
     calls = Counter()
     real = analyzer.fresh_moves
 
@@ -268,8 +269,7 @@ def test_each_fresh_reading_is_priced_once_per_call(monkeypatch):
         return real(token, model, first=first, **kwargs)
 
     monkeypatch.setattr(analyzer, "fresh_moves", counting)
-    got = [op_tuples(p.ops) for p in analyze_many(seqs, enable_mirror=True)]
-    assert got == expected
+    assert list(price_many(seqs)) == expected
     # one pricing per distinct (token, first); rebuilding the readings at
     # every fresh start priced 20 per repetition, 400 in all
     assert set(calls.values()) == {1}
@@ -279,7 +279,7 @@ def test_each_fresh_reading_is_priced_once_per_call(monkeypatch):
 def test_each_step_is_priced_once_per_call(monkeypatch):
     seqs = [[3, 3, 4, 6, 6], [5, 6, 8, 8, 1], [1, 2, 2, 1],
             [10, 44, 44, 10], [9, 9]] * 20
-    expected = [op_tuples(analyze(s, enable_mirror=True).ops) for s in seqs]
+    expected = [analyze(s).total_cost for s in seqs]
     calls = Counter()
     real = analyzer.explained_move
 
@@ -288,16 +288,41 @@ def test_each_step_is_priced_once_per_call(monkeypatch):
         return real(token, prev, model)
 
     monkeypatch.setattr(analyzer, "explained_move", counting)
-    got = [op_tuples(p.ops) for p in analyze_many(seqs, enable_mirror=True)]
-    assert got == expected
+    assert list(price_many(seqs)) == expected
     # one reading per distinct step, applicable or not; building it at
     # every token made 17 per repetition, 340 in all
     assert set(calls.values()) == {1}
     assert sorted(calls) == [-34, -7, -1, 0, 1, 2, 34]
 
 
+def test_batch_builds_no_program_and_updates_memory_once_per_state(monkeypatch):
+    seqs = [[3, 3, 4, 6, 6], [5, 6, 8, 8, 1], [1, 2, 3, 4, 5, 6],
+            [10, 44, 44, 10], [9, 9, 10, 11, 13]]
+    expected = [analyze(s).total_cost for s in seqs]
+    touches = Counter()
+    real = StmState.touch
+
+    def counting(stm, item):
+        touches[tuple(stm.slots), item] += 1
+        real(stm, item)
+
+    def no_program(*args, **kwargs):
+        raise AssertionError("a batch built a DescriptionProgram")
+
+    monkeypatch.setattr(StmState, "touch", counting)
+    monkeypatch.setattr(analyzer, "DescriptionProgram", no_program)
+    assert list(price_many(seqs)) == expected
+    once = sum(touches.values())
+    touches.clear()
+    assert list(price_many(seqs * 200)) == expected * 200
+    # each (memory, step) pair is updated once per call, however many
+    # tickets meet it
+    assert sum(touches.values()) == once
+    assert set(touches.values()) == {1}
+
+
 def test_batch_is_lazy_and_checks_each_sequence():
-    batch = analyze_many([[1, 2], [], [3]])
-    assert next(batch).total_cost == analyze([1, 2]).total_cost
+    batch = price_many([[1, 2], [], [3]])
+    assert next(batch) == analyze([1, 2]).total_cost
     with pytest.raises(ValueError):
         next(batch)

@@ -1,6 +1,9 @@
 import hashlib
 import math
+import pathlib
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -467,3 +470,22 @@ def test_parse_bulletin_names_bad_line():
         parse_bulletin("1 2 3 4 5 6\n1 2 3 4 5 x\n")
     with pytest.raises(ValueError, match="line 1"):
         parse_bulletin("1 2 3\n")
+
+
+EXPERIMENT_SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "run_lottery_experiment.py"
+
+
+def test_experiment_script_refuses_tau_without_the_weighted_model(tmp_path):
+    out_dir = tmp_path / "results"
+    proc = subprocess.run(
+        [sys.executable, str(EXPERIMENT_SCRIPT), "--seeds", "1", "--tau", "5",
+         "--out-dir", str(out_dir)],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    # argparse prints its usage above the one error line
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert errors == ["run_lottery_experiment.py: error: "
+                      "--tau applies only with --choice-model complexity_weighted"]
+    assert proc.stderr.splitlines()[-1] == errors[0]
+    assert list(tmp_path.iterdir()) == []
