@@ -126,6 +126,9 @@ def explained_move(token: int, prev: int,
     return charged, free
 
 
+_UNSEEN = object()  # a (step, slots) pair the table has not met
+
+
 class MoveTable:
     """One cost model's moves, each priced on first use.
 
@@ -160,10 +163,9 @@ class MoveTable:
         memory ``slots`` (slot keys, least recently used first) and the
         slots it leaves, or None when neither reading applies."""
         key = (token - prev, slots)
-        try:
-            return self._held[key]
-        except KeyError:
-            pass
+        entry = self._held.get(key, _UNSEEN)
+        if entry is not _UNSEEN:
+            return entry
         entry = None
         pair = self.explained(token, prev)
         if pair is not None:
@@ -237,7 +239,8 @@ def analyze(seq: Sequence[int], model: CostModel = DEFAULT_MODEL, *,
     """
     toks = check_sequence(seq)
     total, moves = _describe(toks, MoveTable(model), enable_mirror)
-    return DescriptionProgram(tuple(op for move in moves for op in move.ops), total, toks)
+    ops = [op for move in moves for op in move.ops]
+    return DescriptionProgram(tuple(ops), total, toks)
 
 
 def derive_10_to_70(model: CostModel = DEFAULT_MODEL) -> DescriptionProgram:
