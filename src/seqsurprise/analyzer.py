@@ -24,11 +24,9 @@ How a token can be read depends only on the token, on whether it opens
 the sequence and on the step from the previous token, so one
 :class:`MoveTable` per call prices each ``(token, first)`` pair and each
 step once, for this scan and for the exact search in
-:mod:`seqsurprise.oracle` alike.  The scan holds its short-term memory
-as a tuple of slot keys, so the table also keeps, for each step and
-memory it meets, the move taken and the memory left behind.  The table
-is never kept for the process: :func:`price_many` builds one per batch
-and drops it with the iterator, and :func:`analyze` builds one per call.
+:mod:`seqsurprise.oracle` alike.  The table is never kept for the
+process: :func:`price_many` builds one per batch and drops it with the
+iterator, and :func:`analyze` builds one per call.
 
 :func:`price_many` yields costs only; :func:`analyze` flattens the same
 scan's moves into a validated :class:`DescriptionProgram`.
@@ -126,24 +124,18 @@ def explained_move(token: int, prev: int,
     return charged, free
 
 
-_UNSEEN = object()  # a (step, slots) pair the table has not met
-
-
 class MoveTable:
     """One cost model's moves, each priced on first use.
 
     ``fresh`` gives a ``(token, first)`` pair's fresh moves in canonical
     order and the cheapest of them (``min`` keeps the first of equal
-    costs); ``explained`` gives the :func:`explained_move` pair of a step;
-    ``held`` gives the move a step takes from a short-term memory and the
-    memory it leaves.
+    costs); ``explained`` gives the :func:`explained_move` pair of a step.
     """
 
     def __init__(self, model: CostModel) -> None:
         self.model = model
         self._fresh: dict[tuple[int, bool], tuple[tuple[Move, ...], Move]] = {}
         self._steps: dict[int, tuple[Move, Move] | None] = {}
-        self._held: dict[tuple[int, tuple], tuple[Move, tuple] | None] = {}
 
     def fresh(self, token: int, first: bool) -> tuple[tuple[Move, ...], Move]:
         entry = self._fresh.get((token, first))
@@ -158,36 +150,20 @@ class MoveTable:
             self._steps[step] = explained_move(token, prev, self.model)
         return self._steps[step]
 
-    def held(self, token: int, prev: int, slots: tuple) -> tuple[Move, tuple] | None:
-        """The COPY or INCREMENT move from ``prev`` to ``token`` under the
-        memory ``slots`` (slot keys, least recently used first) and the
-        slots it leaves, or None when neither reading applies."""
-        key = (token - prev, slots)
-        entry = self._held.get(key, _UNSEEN)
-        if entry is not _UNSEEN:
-            return entry
-        entry = None
-        pair = self.explained(token, prev)
-        if pair is not None:
-            charged, free = pair
-            move = free if charged.key in slots else charged
-            stm = StmState(self.model.stm_capacity, list(slots))
-            stm.touch(move.key)
-            entry = (move, tuple(stm.slots))
-        self._held[key] = entry
-        return entry
-
 
 def _scan(toks: tuple[int, ...], table: MoveTable) -> tuple[Bits, list[Move]]:
     """Total cost and moves of the left-to-right scan, adding costs in order."""
+    stm = StmState(table.model.stm_capacity)
     move = table.fresh(toks[0], True)[1]
-    total, moves, slots = move.cost, [move], ()
+    total, moves = move.cost, [move]
     for prev, token in zip(toks, toks[1:]):
-        held = table.held(token, prev, slots)
-        if held is None:
+        pair = table.explained(token, prev)
+        if pair is None:
             move = table.fresh(token, False)[1]
         else:
-            move, slots = held
+            charged, free = pair
+            move = free if charged.key in stm else charged
+            stm.touch(move.key)
         moves.append(move)
         total += move.cost
     return total, moves
@@ -219,10 +195,9 @@ def price_many(seqs: Iterable[Sequence[int]],
                model: CostModel = DEFAULT_MODEL) -> Iterator[Bits]:
     """Yield each sequence's cost in turn, lazily, as :func:`analyze` prices it.
 
-    No program is built.  Every move, and every move taken from each
-    short-term memory, is priced once per call in one :class:`MoveTable`
-    and reused for every later sequence of the batch; the table lives
-    only as long as the returned iterator.
+    No program is built.  Every move is priced once per call, in one
+    :class:`MoveTable`, and reused for every later sequence of the batch;
+    the table lives only as long as the returned iterator.
     """
     table = MoveTable(model)
     for seq in seqs:
