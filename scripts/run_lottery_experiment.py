@@ -4,7 +4,8 @@
 For each seed: simulate subjects choosing from their bulletins, record
 whether every subject avoided the two simplest fixed combinations, and
 accumulate the complexity histogram of all choices.  Writes a summary
-JSON and a plot-ready histogram CSV.
+JSON and a plot-ready histogram CSV.  Bad arguments, including sizes the
+experiment refuses, exit 2 with one error line before any file is written.
 
 Example:
     python scripts/run_lottery_experiment.py --seeds 200 --tau 7 \
@@ -20,15 +21,18 @@ import pathlib
 
 from seqsurprise.lottery import (
     COMPLEXITY_WEIGHTED,
+    N_MARKED,
     UNIFORM,
     ChoiceModel,
     ExperimentConfig,
     avoidance_probability,
+    histogram_csv,
     simulate_subjects,
 )
 
 
-def parse_args() -> argparse.Namespace:
+def parse_args() -> tuple[argparse.Namespace, ExperimentConfig]:
+    """The arguments, and the experiment of the first seed."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, default=100,
                         help="number of independent experiment replications")
@@ -44,21 +48,25 @@ def parse_args() -> argparse.Namespace:
     args = parser.parse_args()
     if args.tau is not None and args.choice_model == UNIFORM:
         parser.error("--tau applies only with --choice-model complexity_weighted")
-    return args
+    if args.seeds < 1:
+        parser.error(f"--seeds must be >= 1, got {args.seeds}")
+    try:
+        choice = (ChoiceModel(args.choice_model) if args.tau is None
+                  else ChoiceModel(args.choice_model, args.tau))
+        base = ExperimentConfig(
+            seed=args.base_seed,
+            n_subjects=args.subjects,
+            n_choices_per_subject=args.choices,
+            choice_model=choice,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
+    return args, base
 
 
 def main() -> None:
-    args = parse_args()
+    args, base = parse_args()
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    choice = (ChoiceModel(args.choice_model) if args.tau is None
-              else ChoiceModel(args.choice_model, args.tau))
-
-    base = ExperimentConfig(
-        seed=args.base_seed,
-        n_subjects=args.subjects,
-        n_choices_per_subject=args.choices,
-        choice_model=choice,
-    )
     histogram: dict[int, int] = {}
     n_all_avoided = 0
     for rep in range(args.seeds):
@@ -67,26 +75,22 @@ def main() -> None:
         for b, count in result.histogram.items():
             histogram[b] = histogram.get(b, 0) + count
 
-    n_bulletin = len(base.fixed_combinations) + base.n_random
     summary = {
         "replications": args.seeds,
         "subjects": args.subjects,
         "choices_per_subject": args.choices,
-        "choice_model": choice.kind,
-        "tau": choice.tau,
+        "choice_model": base.choice_model.kind,
+        "tau": base.choice_model.tau,
         "runs_where_all_subjects_avoided_simplest": n_all_avoided,
-        "fraction_all_avoided": n_all_avoided / args.seeds if args.seeds else 0.0,
+        "fraction_all_avoided": n_all_avoided / args.seeds,
         "uniform_avoidance_probability_exact": avoidance_probability(
-            n_bulletin, args.choices, 2, args.subjects),
+            base.n_bulletin, args.choices, N_MARKED, args.subjects),
         "total_choices": sum(histogram.values()),
         "min_chosen_bin": min(histogram) if histogram else None,
     }
 
     hist_path = args.out_dir / "histogram.csv"
-    with hist_path.open("w") as fh:
-        fh.write("bin,count\n")
-        for b in sorted(histogram):
-            fh.write(f"{b},{histogram[b]}\n")
+    hist_path.write_text(histogram_csv(histogram))
     summary_path = args.out_dir / "summary.json"
     summary_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
 

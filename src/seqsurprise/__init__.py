@@ -34,6 +34,7 @@ _HOMES = {
             "combination_complexity",
             "format_bulletin",
             "generate_bulletin",
+            "histogram_csv",
             "parse_bulletin",
             "rank_combinations",
             "reference_rank_report",

@@ -256,11 +256,13 @@ def cmd_lottery_bulletin(args: argparse.Namespace, model: CostModel) -> int:
 
 def cmd_lottery_experiment(args: argparse.Namespace, model: CostModel) -> int:
     from .lottery import (
+        N_MARKED,
         UNIFORM,
         ChoiceModel,
         ExperimentConfig,
         avoidance_probability,
         avoidance_probability_mc,
+        histogram_csv,
         simulate_subjects,
     )
 
@@ -280,21 +282,21 @@ def cmd_lottery_experiment(args: argparse.Namespace, model: CostModel) -> int:
         choice_model=choice,
     )
     result = simulate_subjects(config, model)
+    table = histogram_csv(result.histogram)
     if args.histogram_csv:
-        _write_file(args.histogram_csv, result.histogram_csv())
+        _write_file(args.histogram_csv, table)
     if args.format == "csv":
         # the table is the whole output, so the avoidance figures are not computed
-        sys.stdout.write(result.histogram_csv())
+        sys.stdout.write(table)
         return 0
-    n_total = len(config.fixed_combinations) + config.n_random
+    avoidance_args = (config.n_bulletin, config.n_choices_per_subject, N_MARKED,
+                      config.n_subjects)
     summary = result.to_json_dict()
-    summary["n_bulletin"] = n_total
-    summary["avoidance_probability_exact"] = avoidance_probability(
-        n_total, config.n_choices_per_subject, 2, config.n_subjects)
+    summary["n_bulletin"] = config.n_bulletin
+    summary["avoidance_probability_exact"] = avoidance_probability(*avoidance_args)
     if args.mc_replications > 0:
         summary["avoidance_probability_mc"] = avoidance_probability_mc(
-            n_total, config.n_choices_per_subject, 2, config.n_subjects,
-            n_replications=args.mc_replications, seed=args.seed)
+            *avoidance_args, n_replications=args.mc_replications, seed=args.seed)
         summary["mc_replications"] = args.mc_replications
     if args.format == "json":
         _emit(summary, "json")

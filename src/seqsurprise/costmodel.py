@@ -71,7 +71,7 @@ class CostModel:
         for step, cost in self.increment_cost_overrides:
             if step == k:
                 return cost
-        return math.log2(k + 1)
+        return number_complexity(k)
 
 
 DEFAULT_MODEL = CostModel()

@@ -7,6 +7,9 @@ threshold is never picked, which reproduces the empty low-complexity end
 of the observed choice histogram.  The headline statistic is the chance
 that every subject avoids the simplest combinations if picks were
 uniform.
+
+Every draw comes from a PCG64 stream that :mod:`seqsurprise._streams`
+builds from the experiment's seed.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .analyzer import price_many
+from ._streams import check_seed, generator
+from .analyzer import check_sequence, price_many
 from .costmodel import Bits, CostModel, DEFAULT_MODEL
 
 # Only the functions that draw random numbers import numpy, so that
@@ -42,7 +46,7 @@ class LotteryCombination:
     numbers: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        nums = tuple(sorted(self.numbers))
+        nums = tuple(sorted(check_sequence(self.numbers)))
         if len(nums) != COMBINATION_LENGTH:
             raise ValueError(f"a combination has {COMBINATION_LENGTH} numbers, got {len(nums)}")
         if len(set(nums)) != COMBINATION_LENGTH:
@@ -149,6 +153,9 @@ def reference_rank_report(model: CostModel = DEFAULT_MODEL) -> ReferenceRankRepo
 
 UNIFORM = "uniform"
 COMPLEXITY_WEIGHTED = "complexity_weighted"
+# The simplest fixed combinations, marked: the avoidance statistics ask
+# whether every subject missed all of them.
+N_MARKED = 2
 
 
 @dataclass(frozen=True)
@@ -188,7 +195,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.n_random < 0 or self.n_choices_per_subject < 0 or self.n_subjects < 0:
             raise ValueError("experiment sizes must be nonnegative")
-        _check_seed(self.seed)
+        check_seed(self.seed)
         if len({combo.numbers for combo in self.fixed_combinations}) != len(
                 self.fixed_combinations):
             raise ValueError("fixed combinations must be distinct")
@@ -198,10 +205,14 @@ class ExperimentConfig:
             raise ValueError(
                 f"cannot draw {self.n_random} distinct random combinations: "
                 f"only {free} are not fixed")
-        total = len(self.fixed_combinations) + self.n_random
-        if self.n_choices_per_subject > total:
+        if self.n_choices_per_subject > self.n_bulletin:
             raise ValueError(
-                f"cannot pick {self.n_choices_per_subject} from a bulletin of {total}")
+                f"cannot pick {self.n_choices_per_subject} from a bulletin of {self.n_bulletin}")
+
+    @property
+    def n_bulletin(self) -> int:
+        """Entries on each subject's bulletin: the fixed ones plus the random draws."""
+        return len(self.fixed_combinations) + self.n_random
 
 
 @dataclass(frozen=True)
@@ -217,12 +228,6 @@ class ExperimentResult:
     def all_subjects_avoided(self) -> bool:
         return all(self.avoided_all_simplest)
 
-    def histogram_csv(self) -> str:
-        lines = ["bin,count"]
-        for b in sorted(self.histogram):
-            lines.append(f"{b},{self.histogram[b]}")
-        return "\n".join(lines) + "\n"
-
     def to_json_dict(self) -> dict:
         return {
             "n_subjects": self.config.n_subjects,
@@ -237,16 +242,9 @@ class ExperimentResult:
         }
 
 
-def _generator(seed: int, *spawn_key: int) -> np.random.Generator:
-    """Every lottery draw's stream: PCG64 seeded by ``seed`` and ``spawn_key``.
-
-    A subject's stream has the key ``(subject,)``; without a key this is
-    the stream of ``SeedSequence(seed)``.
-    """
-    _check_seed(seed)
-    import numpy as np
-    return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(seed, spawn_key=spawn_key)))
+def histogram_csv(histogram: dict[int, int]) -> str:
+    """A complexity histogram as a ``bin,count`` table, bins ascending."""
+    return "bin,count\n" + "".join(f"{b},{histogram[b]}\n" for b in sorted(histogram))
 
 
 def _draw_random_combination(rng: np.random.Generator) -> LotteryCombination:
@@ -262,10 +260,10 @@ def generate_bulletin(config: ExperimentConfig,
     Same config and seed give the same bulletin.
     """
     if rng is None:
-        rng = _generator(config.seed)
+        rng = generator(config.seed)
     seen = {combo.numbers for combo in config.fixed_combinations}
     bulletin = list(config.fixed_combinations)
-    while len(bulletin) < len(config.fixed_combinations) + config.n_random:
+    while len(bulletin) < config.n_bulletin:
         combo = _draw_random_combination(rng)
         if combo.numbers in seen:
             continue
@@ -306,7 +304,7 @@ def simulate_subjects(config: ExperimentConfig,
     # bulletins can be drawn first and every distinct ticket priced once.
     subjects = []
     for s in range(config.n_subjects):
-        rng = _generator(config.seed, s)
+        rng = generator(config.seed, s)
         subjects.append((rng, generate_bulletin(config, rng)))
     tickets = dict.fromkeys([combo.numbers for combo in config.fixed_combinations]
                             + [combo.numbers for _, bulletin in subjects
@@ -314,7 +312,7 @@ def simulate_subjects(config: ExperimentConfig,
     bits_of = dict(zip(tickets, price_many(tickets, model)))
     fixed = sorted((combo.numbers for combo in config.fixed_combinations),
                    key=lambda numbers: (bits_of[numbers], numbers))
-    marked = set(fixed[:2])
+    marked = set(fixed[:N_MARKED])
     choices: list[tuple[int, ...]] = []
     chosen_bits: list[tuple[Bits, ...]] = []
     histogram: dict[int, int] = {}
@@ -338,12 +336,6 @@ def simulate_subjects(config: ExperimentConfig,
         avoided_all_simplest=tuple(avoided),
         uniform_fallback=fallback_seen,
     )
-
-
-def _check_seed(seed: int) -> None:
-    # numpy's SeedSequence rejects a negative entropy without naming it
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
 
 
 # --- avoidance statistics -------------------------------------------------
@@ -391,12 +383,12 @@ def avoidance_probability_mc(n_total: int, n_choices: int, n_avoided: int,
     """
     if n_replications < 1:
         raise ValueError("n_replications must be >= 1")
-    _check_seed(seed)
+    check_seed(seed)
     _check_avoidance_args(n_total, n_choices, n_avoided, n_subjects)
     if n_choices == 0:
         return 1.0
     import numpy as np
-    rng = _generator(seed)
+    rng = generator(seed)
     # int16 holds the draws, and so fixes the streams, of every bulletin
     # up to 2**15 entries; larger ones need a wider type.
     dtype = (np.int16 if n_total <= 2**15

@@ -7,6 +7,9 @@ number the expected description copies an uninstantiated digit slot and
 fills k digits independently from ten possibilities; an observed number
 with internal repetition needs fewer independent digit choices, and the
 gap is the surprise.
+
+A :class:`MonteCarloPool` samples from the same seeded PCG64 stream as the
+lottery's draws, built in :mod:`seqsurprise._streams`.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from ._streams import check_seed, generator
 from .analyzer import analyze, price_many
 from .costmodel import Bits, CostModel, DEFAULT_MODEL
 
@@ -34,6 +38,14 @@ class KDigitNumber:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError(f"a k-digit template needs k >= 1, got {self.k}")
+        # int * float converts k first, which overflows past about 1.8e308
+        try:
+            finite = math.isfinite(self.k * DIGIT_CHOICE_BITS)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError("k is too large: a k-digit template's expected bits "
+                             "must be a finite number")
 
 
 @dataclass(frozen=True)
@@ -58,9 +70,7 @@ class MonteCarloPool:
     def __post_init__(self) -> None:
         if self.n_samples < 1:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
-        # numpy's SeedSequence rejects a negative entropy without naming it
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        check_seed(self.seed)
 
 
 ExpectationTemplate = KDigitNumber | FixedBits | MonteCarloPool
@@ -73,8 +83,7 @@ def expected_complexity(template: ExpectationTemplate,
     if isinstance(template, FixedBits):
         return template.value
     if isinstance(template, MonteCarloPool):
-        import numpy as np  # loaded only when a pool is sampled
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(template.seed)))
+        rng = generator(template.seed)  # loads numpy only when a pool is sampled
         samples = (template.sampler(rng) for _ in range(template.n_samples))
         total = 0.0
         # a left-to-right sum: sum() compensates float rounding from Python 3.12

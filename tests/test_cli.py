@@ -173,6 +173,16 @@ def test_surprise_rejects_non_finite_fixed_template(bits, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+# 10**308 digits would print "c_exp": Infinity; 10**309 overflows a float
+@pytest.mark.parametrize("k", [10**308, 10**309], ids=["1e308", "1e309"])
+def test_surprise_rejects_a_kdigit_template_too_large_for_finite_bits(k, capsys):
+    code, out, err = run(capsys, ["surprise", "1", "2", "--template",
+                                  f"kdigit:{k}", "--format", "json"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_config_file_changes_costs(tmp_path, capsys):
     cfg = tmp_path / "model.cfg"
     cfg.write_text("copy_cost = 2.0\n")
@@ -564,8 +574,10 @@ NUMPY_CASES = {
     "lottery-bulletin": ("assert main(['lottery', 'bulletin', '--seed', '1']) == 0", True),
     "lottery-experiment": ("assert main(['lottery', 'experiment', '--seed', '1', "
                            "'--subjects', '3']) == 0", True),
+    # the pool draws from the seeded stream without loading the lottery
     "monte-carlo-pool": ("assert expected_complexity(MonteCarloPool("
-                         "lambda rng: [int(rng.integers(10))], n_samples=2, seed=0)) > 0",
+                         "lambda rng: [int(rng.integers(10))], n_samples=2, seed=0)) > 0; "
+                         "assert 'seqsurprise.lottery' not in sys.modules",
                          True),
 }
 

@@ -27,6 +27,7 @@ from seqsurprise.lottery import (
     combination_complexity,
     format_bulletin,
     generate_bulletin,
+    histogram_csv,
     parse_bulletin,
     rank_combinations,
     reference_rank_report,
@@ -52,6 +53,11 @@ def test_combination_normalizes_and_validates():
         combo(0, 2, 3, 4, 5, 6)
     with pytest.raises(ValueError):
         combo(1, 2, 3, 4, 5, 50)
+    # the token rule of the sequences it is priced as: an int, not a bool
+    with pytest.raises(ValueError, match="got 1.5"):
+        combo(1.5, 2, 3, 4, 5, 6)
+    with pytest.raises(ValueError, match="got True"):
+        combo(True, 2, 3, 4, 5, 6)
 
 
 def test_combination_complexity_is_analyzer_cost():
@@ -269,7 +275,7 @@ def test_ranking_of_a_seeded_batch_is_pinned():
 
 def test_histogram_csv_layout():
     result = simulate_subjects(ExperimentConfig(seed=4, n_subjects=3))
-    lines = result.histogram_csv().strip().splitlines()
+    lines = histogram_csv(result.histogram).strip().splitlines()
     assert lines[0] == "bin,count"
     bins = [int(line.split(",")[0]) for line in lines[1:]]
     assert bins == sorted(bins)
@@ -475,17 +481,62 @@ def test_parse_bulletin_names_bad_line():
 EXPERIMENT_SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "run_lottery_experiment.py"
 
 
-def test_experiment_script_refuses_tau_without_the_weighted_model(tmp_path):
+# SHA-256 of (summary.json, histogram.csv) per argv, recorded before the
+# script read the bulletin size, the marked count and the table from lottery.
+SCRIPT_OUTPUT_DIGESTS = {
+    "uniform": (
+        ["--seeds", "3"],
+        "a9ff5a6e19e7080f54fcb32fd197f039ffde84324ab84feb8230c9dcc8c27a0a",
+        "97fbedd68dfd20e0f6f0ad9bac35328d31c5521c60e887afc0e9590ba4ce8614"),
+    "weighted": (
+        ["--seeds", "3", "--choice-model", "complexity_weighted", "--tau", "7"],
+        "9fe8b9e1794bc904ad5766fadd5ba1ce48b4ccf5f9ddf49e52ee0c31acc74b32",
+        "feb79c8b3785a3be7d5444f287ee1dd29f656d789440b4c171eb4290ff3c06e7"),
+}
+
+
+@pytest.mark.parametrize("argv,summary,histogram", SCRIPT_OUTPUT_DIGESTS.values(),
+                         ids=SCRIPT_OUTPUT_DIGESTS)
+def test_experiment_script_output_is_pinned(argv, summary, histogram, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(EXPERIMENT_SCRIPT), *argv, "--out-dir", str(tmp_path)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    for name in ("summary.json", "histogram.csv"))
+    assert digests == (summary, histogram)
+
+
+def _script_usage_error(tmp_path, *argv):
+    """Run the script on bad arguments and return its one error line, after
+    checking that it exits 2 and writes nothing."""
     out_dir = tmp_path / "results"
     proc = subprocess.run(
-        [sys.executable, str(EXPERIMENT_SCRIPT), "--seeds", "1", "--tau", "5",
-         "--out-dir", str(out_dir)],
+        [sys.executable, str(EXPERIMENT_SCRIPT), *argv, "--out-dir", str(out_dir)],
         capture_output=True, text=True)
     assert proc.returncode == 2
     assert proc.stdout == ""
     # argparse prints its usage above the one error line
     errors = [line for line in proc.stderr.splitlines() if "error:" in line]
-    assert errors == ["run_lottery_experiment.py: error: "
-                      "--tau applies only with --choice-model complexity_weighted"]
+    assert len(errors) == 1
     assert proc.stderr.splitlines()[-1] == errors[0]
     assert list(tmp_path.iterdir()) == []
+    return errors[0].removeprefix("run_lottery_experiment.py: error: ")
+
+
+def test_experiment_script_refuses_tau_without_the_weighted_model(tmp_path):
+    assert _script_usage_error(tmp_path, "--seeds", "1", "--tau", "5") == (
+        "--tau applies only with --choice-model complexity_weighted")
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["--seeds", "-2"], "--seeds must be >= 1, got -2"),
+    (["--seeds", "0"], "--seeds must be >= 1, got 0"),
+    (["--base-seed", "-1"], "seed must be nonnegative, got -1"),
+    (["--subjects", "-1"], "experiment sizes must be nonnegative"),
+    (["--choices", "15"], "cannot pick 15 from a bulletin of 14"),
+    (["--choice-model", "complexity_weighted", "--tau", "inf"],
+     "tau must be a finite number of bits, got inf"),
+], ids=["seeds-negative", "seeds-zero", "base-seed", "subjects", "choices", "tau-inf"])
+def test_experiment_script_refuses_bad_arguments(argv, error, tmp_path):
+    assert _script_usage_error(tmp_path, *argv) == error

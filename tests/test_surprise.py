@@ -37,6 +37,8 @@ def test_kdigit_template_value():
 def test_template_validation():
     with pytest.raises(ValueError):
         KDigitNumber(0)
+    with pytest.raises(ValueError, match="k is too large"):
+        KDigitNumber(10**309)
     with pytest.raises(ValueError):
         FixedBits(-1.0)
     with pytest.raises(ValueError):
