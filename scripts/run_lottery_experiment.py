@@ -5,7 +5,8 @@ For each seed: simulate subjects choosing from their bulletins, record
 whether every subject avoided the two simplest fixed combinations, and
 accumulate the complexity histogram of all choices.  Writes a summary
 JSON and a plot-ready histogram CSV.  Bad arguments, including sizes the
-experiment refuses, exit 2 with one error line before any file is written.
+experiment refuses and an output directory that cannot be made, exit 2
+with one error line before any file is written.
 
 Example:
     python scripts/run_lottery_experiment.py --seeds 200 --tau 7 \
@@ -32,7 +33,8 @@ from seqsurprise.lottery import (
 
 
 def parse_args() -> tuple[argparse.Namespace, ExperimentConfig]:
-    """The arguments, and the experiment of the first seed."""
+    """The arguments, and the experiment of the first seed; makes the output
+    directory."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, default=100,
                         help="number of independent experiment replications")
@@ -61,12 +63,15 @@ def parse_args() -> tuple[argparse.Namespace, ExperimentConfig]:
         )
     except ValueError as exc:
         parser.error(str(exc))
+    try:
+        args.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        parser.error(f"cannot create --out-dir {str(args.out_dir)!r}: {exc.strerror}")
     return args, base
 
 
 def main() -> None:
     args, base = parse_args()
-    args.out_dir.mkdir(parents=True, exist_ok=True)
     histogram: dict[int, int] = {}
     n_all_avoided = 0
     for rep in range(args.seeds):

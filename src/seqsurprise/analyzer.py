@@ -28,8 +28,14 @@ step once, for this scan and for the exact search in
 process: :func:`price_many` builds one per batch and drops it with the
 iterator, and :func:`analyze` builds one per call.
 
-:func:`price_many` yields costs only; :func:`analyze` flattens the same
-scan's moves into a validated :class:`DescriptionProgram`.
+One flat scan serves both: it reads the table's int-keyed maps directly
+and keeps short-term memory as a tuple of keys, updated by
+:func:`seqsurprise.program.touch`; the oracle keeps a
+:class:`~seqsurprise.program.StmState` per search node under the same
+rule.  :func:`price_many` yields costs only; :func:`analyze` also
+collects the scan's moves and flattens them into a validated
+:class:`DescriptionProgram`.  The lottery prices combinations, which
+are checked when they are built, without checking them again.
 """
 
 from __future__ import annotations
@@ -42,8 +48,8 @@ from .program import (
     DescriptionProgram,
     Operation,
     OpKind,
-    StmState,
     stm_key,
+    touch,
 )
 
 # Digit reading names, in tie-break order.
@@ -130,43 +136,71 @@ class MoveTable:
     ``fresh`` gives a ``(token, first)`` pair's fresh moves in canonical
     order and the cheapest of them (``min`` keeps the first of equal
     costs); ``explained`` gives the :func:`explained_move` pair of a step.
+    The same entries fill three int-keyed maps that the scan reads
+    directly: ``opening`` and ``later`` map a token to its cheapest fresh
+    move as the first token or after it, and ``steps`` maps a step to its
+    pair, or to ``None`` where neither COPY nor INCREMENT applies.
     """
 
     def __init__(self, model: CostModel) -> None:
         self.model = model
         self._fresh: dict[tuple[int, bool], tuple[tuple[Move, ...], Move]] = {}
-        self._steps: dict[int, tuple[Move, Move] | None] = {}
+        self.opening: dict[int, Move] = {}
+        self.later: dict[int, Move] = {}
+        self.steps: dict[int, tuple[Move, Move] | None] = {}
 
     def fresh(self, token: int, first: bool) -> tuple[tuple[Move, ...], Move]:
         entry = self._fresh.get((token, first))
         if entry is None:
             moves = tuple(fresh_moves(token, self.model, first=first))
             entry = self._fresh[token, first] = (moves, min(moves, key=lambda m: m.cost))
+            (self.opening if first else self.later)[token] = entry[1]
         return entry
 
     def explained(self, token: int, prev: int) -> tuple[Move, Move] | None:
         step = token - prev
-        if step not in self._steps:
-            self._steps[step] = explained_move(token, prev, self.model)
-        return self._steps[step]
+        if step not in self.steps:
+            self.steps[step] = explained_move(token, prev, self.model)
+        return self.steps[step]
 
 
-def _scan(toks: tuple[int, ...], table: MoveTable) -> tuple[Bits, list[Move]]:
-    """Total cost and moves of the left-to-right scan, adding costs in order."""
-    stm = StmState(table.model.stm_capacity)
-    move = table.fresh(toks[0], True)[1]
-    total, moves = move.cost, [move]
-    for prev, token in zip(toks, toks[1:]):
-        pair = table.explained(token, prev)
-        if pair is None:
-            move = table.fresh(token, False)[1]
-        else:
-            charged, free = pair
-            move = free if charged.key in stm else charged
-            stm.touch(move.key)
+_UNPRICED = object()  # a step the table has not priced yet
+
+
+def _scan(toks: tuple[int, ...], table: MoveTable,
+          moves: list[Move] | None = None) -> Bits:
+    """Total cost of the left-to-right scan, adding costs in order.
+
+    The chosen moves are appended to ``moves`` when a list is given.
+    Short-term memory is a tuple of keys, updated by :func:`touch`.
+    """
+    capacity = table.model.stm_capacity
+    later, steps = table.later, table.steps
+    prev = toks[0]
+    move = table.opening.get(prev) or table.fresh(prev, True)[1]
+    total = move.cost
+    if moves is not None:
         moves.append(move)
+    slots: tuple = ()
+    for token in toks[1:]:
+        pair = steps.get(token - prev, _UNPRICED)
+        if pair is _UNPRICED:
+            pair = table.explained(token, prev)
+        if pair is None:
+            move = later.get(token) or table.fresh(token, False)[1]
+        else:
+            charged, move = pair
+            key = charged.key
+            # touching the newest slot again leaves the memory as it is
+            if not slots or slots[-1] != key:
+                if key not in slots:
+                    move = charged
+                slots = touch(slots, key, capacity)
+        if moves is not None:
+            moves.append(move)
         total += move.cost
-    return total, moves
+        prev = token
+    return total
 
 
 def naive_cost(seq: Sequence[int], model: CostModel = DEFAULT_MODEL) -> Bits:
@@ -180,7 +214,8 @@ def naive_cost(seq: Sequence[int], model: CostModel = DEFAULT_MODEL) -> Bits:
 
 def _describe(toks: tuple[int, ...], table: MoveTable,
               enable_mirror: bool) -> tuple[Bits, list[Move]]:
-    total, moves = _scan(toks, table)
+    moves: list[Move] = []
+    total = _scan(toks, table, moves)
     n = len(toks)
     if enable_mirror and n >= 2 and n % 2 == 0 and toks == toks[::-1]:
         half_total, half_moves = _describe(toks[: n // 2], table, True)
@@ -191,17 +226,25 @@ def _describe(toks: tuple[int, ...], table: MoveTable,
     return total, moves
 
 
+def _price_valid(toks_iter: Iterable[tuple[int, ...]],
+                 model: CostModel) -> Iterator[Bits]:
+    """:func:`price_many` over token tuples that have already passed
+    :func:`check_sequence`, such as lottery combinations' numbers."""
+    table = MoveTable(model)
+    for toks in toks_iter:
+        yield _scan(toks, table)
+
+
 def price_many(seqs: Iterable[Sequence[int]],
                model: CostModel = DEFAULT_MODEL) -> Iterator[Bits]:
     """Yield each sequence's cost in turn, lazily, as :func:`analyze` prices it.
 
     No program is built.  Every move is priced once per call, in one
     :class:`MoveTable`, and reused for every later sequence of the batch;
-    the table lives only as long as the returned iterator.
+    the table lives only as long as the returned iterator.  Each sequence
+    is checked as it is reached, so a bad one raises there.
     """
-    table = MoveTable(model)
-    for seq in seqs:
-        yield _scan(check_sequence(seq), table)[0]
+    return _price_valid(map(check_sequence, seqs), model)
 
 
 def analyze(seq: Sequence[int], model: CostModel = DEFAULT_MODEL, *,

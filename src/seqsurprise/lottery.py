@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ._streams import check_seed, generator
-from .analyzer import check_sequence, price_many
+from .analyzer import _price_valid, check_sequence
 from .costmodel import Bits, CostModel, DEFAULT_MODEL
 
 # Only the functions that draw random numbers import numpy, so that
@@ -90,7 +90,7 @@ DEFAULT_FIXED_COMBINATIONS: tuple[LotteryCombination, ...] = REFERENCE_COMBINATI
 def combination_complexity(combo: LotteryCombination,
                            model: CostModel = DEFAULT_MODEL) -> Bits:
     """Description cost of the combination read in ascending order."""
-    return next(price_many([combo.numbers], model))
+    return next(_price_valid([combo.numbers], model))
 
 
 def rank_combinations(combos: Iterable[LotteryCombination],
@@ -98,7 +98,7 @@ def rank_combinations(combos: Iterable[LotteryCombination],
                       ) -> list[tuple[LotteryCombination, Bits]]:
     """Sort simplest first; equal costs fall back to numeric order."""
     combos = list(combos)
-    scored = list(zip(combos, price_many((combo.numbers for combo in combos), model)))
+    scored = list(zip(combos, _price_valid([combo.numbers for combo in combos], model)))
     scored.sort(key=lambda item: (item[1], item[0].numbers))
     return scored
 
@@ -125,7 +125,8 @@ def reference_rank_report(model: CostModel = DEFAULT_MODEL) -> ReferenceRankRepo
     sit at least two bits below everything else.
     """
     rows = tuple(zip(REFERENCE_COMBINATIONS,
-                     price_many((combo.numbers for combo in REFERENCE_COMBINATIONS), model)))
+                     _price_valid([combo.numbers for combo in REFERENCE_COMBINATIONS],
+                                  model)))
     costs = [bits for _, bits in rows]
     order_ok = True
     prev_max = -math.inf
@@ -309,7 +310,7 @@ def simulate_subjects(config: ExperimentConfig,
     tickets = dict.fromkeys([combo.numbers for combo in config.fixed_combinations]
                             + [combo.numbers for _, bulletin in subjects
                                for combo in bulletin])
-    bits_of = dict(zip(tickets, price_many(tickets, model)))
+    bits_of = dict(zip(tickets, _price_valid(tickets, model)))
     fixed = sorted((combo.numbers for combo in config.fixed_combinations),
                    key=lambda numbers: (bits_of[numbers], numbers))
     marked = set(fixed[:N_MARKED])

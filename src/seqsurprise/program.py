@@ -80,6 +80,21 @@ class StmState:
             self.slots.pop(0)
 
 
+def touch(slots: tuple, key: object, capacity: int) -> tuple:
+    """Short-term memory after using ``key``: the :class:`StmState` rule
+    on an immutable tuple of slots, least recently used first.
+
+    ``key`` moves to (or enters at) the newest slot, and the oldest slots
+    drop past ``capacity``; a memory of capacity 0 holds nothing.
+    """
+    if capacity <= 0:
+        return ()
+    if key in slots:
+        i = slots.index(key)
+        slots = slots[:i] + slots[i + 1:]
+    return (slots + (key,))[-capacity:]
+
+
 def stm_key(kind: OpKind, args: tuple = ()) -> tuple:
     """Slot key for an operator use; increments of different step differ."""
     if kind is OpKind.INCREMENT:

@@ -79,7 +79,12 @@ ExpectationTemplate = KDigitNumber | FixedBits | MonteCarloPool
 def expected_complexity(template: ExpectationTemplate,
                         model: CostModel = DEFAULT_MODEL) -> Bits:
     if isinstance(template, KDigitNumber):
-        return model.copy_cost + template.k * DIGIT_CHOICE_BITS
+        # each term is finite (KDigitNumber and CostModel check), but not their sum
+        bits = model.copy_cost + template.k * DIGIT_CHOICE_BITS
+        if not math.isfinite(bits):
+            raise ValueError(f"k is too large for copy_cost {model.copy_cost!r}: a k-digit "
+                             "template's expected bits must be a finite number")
+        return bits
     if isinstance(template, FixedBits):
         return template.value
     if isinstance(template, MonteCarloPool):

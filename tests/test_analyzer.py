@@ -207,6 +207,19 @@ def test_custom_increment_set():
     assert prog.ops[2].free
 
 
+def test_a_held_key_is_refreshed_before_an_eviction():
+    # capacity 2: the free +1 at 3 makes INCREMENT(1) newer than COPY, so
+    # +2 evicts COPY and the last copy is charged again
+    model = CostModel(stm_capacity=2)
+    seqs = [[1, 2, 2, 3, 5, 5], [1, 2, 2, 3, 5, 6]]
+    costs = [1 + 1 + 1 + 0 + math.log2(3) + 1, 1 + 1 + 1 + 0 + math.log2(3) + 0]
+    for seq, cost in zip(seqs, costs):
+        prog = analyze(seq, model)
+        assert prog.total_cost == pytest.approx(cost)
+        assert prog.total_cost == _rescan(tuple(seq), model, False)[1]
+    assert list(price_many(seqs, model)) == [analyze(s, model).total_cost for s in seqs]
+
+
 def _rescan(toks, model, mirror):
     """The scan without a move table: every token rebuilds its readings.
     Reference for the batch path."""

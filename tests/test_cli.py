@@ -183,6 +183,18 @@ def test_surprise_rejects_a_kdigit_template_too_large_for_finite_bits(k, capsys)
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_surprise_rejects_a_kdigit_expectation_that_overflows_the_model(tmp_path, capsys):
+    # the k-digit bits are finite; adding copy_cost would print "c_exp": Infinity
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text("copy_cost = 1e308\n")
+    code, out, err = run(capsys, ["surprise", "1", "2", "3", "--template",
+                                  f"kdigit:{5 * 10**307}", "--config", str(cfg),
+                                  "--format", "json"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_config_file_changes_costs(tmp_path, capsys):
     cfg = tmp_path / "model.cfg"
     cfg.write_text("copy_cost = 2.0\n")

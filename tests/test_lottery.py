@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import cost_models
 from seqsurprise import analyzer, lottery
 from seqsurprise.analyzer import analyze
 from seqsurprise.lottery import (
@@ -231,6 +232,47 @@ def test_simulation_prices_each_distinct_ticket_once(monkeypatch):
     assert set(scans.values()) == {1}
     assert len(scans) <= 10 + 200 * 4
     assert sum(result.histogram.values()) == 400
+
+
+def test_ranking_checks_no_ticket_again(monkeypatch):
+    rng = random.Random(17)
+    tickets = [LotteryCombination(tuple(rng.sample(range(1, 50), 6))) for _ in range(500)]
+    expected = [analyze(c.numbers).total_cost for c in tickets]
+    checks = []
+    real = analyzer.check_sequence
+
+    def counting(seq):
+        checks.append(seq)
+        return real(seq)
+
+    monkeypatch.setattr(analyzer, "check_sequence", counting)
+    monkeypatch.setattr(lottery, "check_sequence", counting)
+    ranked = rank_combinations(tickets)
+    assert checks == []
+    assert sorted(bits for _, bits in ranked) == sorted(expected)
+    assert [combination_complexity(c) for c in tickets[:5]] == expected[:5]
+    assert checks == []
+    # price_many still checks each sequence, as it reaches it
+    batch = analyzer.price_many(c.numbers for c in tickets)
+    assert checks == []
+    assert next(batch) == expected[0]
+    assert len(checks) == 1
+    assert list(batch) == expected[1:]
+    assert len(checks) == 500
+
+
+@settings(max_examples=60)
+@given(st.lists(st.lists(st.integers(min_value=1, max_value=49), min_size=6, max_size=6,
+                         unique=True), min_size=1, max_size=30),
+       cost_models)
+def test_ranking_prices_like_price_many_and_analyze(tickets, model):
+    combos = [LotteryCombination(tuple(numbers)) for numbers in tickets]
+    ranked = rank_combinations(combos, model)
+    batch = dict(zip((c.numbers for c in combos),
+                     analyzer.price_many((c.numbers for c in combos), model)))
+    for combo, bits in ranked:
+        assert bits == batch[combo.numbers] == analyze(combo.numbers, model).total_cost
+        assert bits == combination_complexity(combo, model)
 
 
 def _digest(obj):
@@ -522,6 +564,23 @@ def _script_usage_error(tmp_path, *argv):
     assert proc.stderr.splitlines()[-1] == errors[0]
     assert list(tmp_path.iterdir()) == []
     return errors[0].removeprefix("run_lottery_experiment.py: error: ")
+
+
+def test_experiment_script_refuses_an_out_dir_that_is_a_file(tmp_path):
+    taken = tmp_path / "results"
+    taken.write_text("kept\n")
+    proc = subprocess.run(
+        [sys.executable, str(EXPERIMENT_SCRIPT), "--seeds", "1", "--out-dir", str(taken)],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines()[-1] == (
+        f"run_lottery_experiment.py: error: cannot create --out-dir {str(taken)!r}: "
+        "File exists")
+    assert [line for line in proc.stderr.splitlines() if "error:" in line] == [
+        proc.stderr.splitlines()[-1]]
+    assert taken.read_text() == "kept\n"
+    assert list(tmp_path.iterdir()) == [taken]
 
 
 def test_experiment_script_refuses_tau_without_the_weighted_model(tmp_path):

@@ -11,6 +11,7 @@ from seqsurprise.program import (
     StmState,
     replay,
     stm_key,
+    touch,
 )
 
 
@@ -55,6 +56,19 @@ def test_stm_zero_capacity_holds_nothing():
     stm.touch("a")
     assert "a" not in stm
     assert stm.slots == []
+
+
+@given(st.integers(min_value=0, max_value=5),
+       st.lists(st.sampled_from("abcdefg"), max_size=40))
+def test_touch_follows_the_stm_state_rule(capacity, keys):
+    # the scan's tuple memory and the oracle's StmState must agree slot for slot
+    stm = StmState(capacity)
+    slots: tuple = ()
+    for key in keys:
+        stm.touch(key)
+        slots = touch(slots, key, capacity)
+        assert slots == tuple(stm.slots)
+        assert all((k in slots) == (k in stm) for k in "abcdefg")
 
 
 def test_stm_key_distinguishes_steps():

@@ -47,6 +47,18 @@ def test_template_validation():
         MonteCarloPool(sampler=six_of_49, n_samples=1, seed=-1)
 
 
+def test_kdigit_template_refuses_an_expectation_that_overflows():
+    # each term is finite, about 1.7e308 and 1e308, but their sum is not
+    k = 5 * 10**307
+    model = CostModel(copy_cost=1e308)
+    assert math.isfinite(k * LOG2_10)
+    with pytest.raises(ValueError, match="k is too large for copy_cost 1e"):
+        expected_complexity(KDigitNumber(k), model)
+    with pytest.raises(ValueError, match="k is too large for copy_cost 1e"):
+        number_surprise(7, KDigitNumber(k), model)
+    assert expected_complexity(KDigitNumber(k)) == 1.0 + k * LOG2_10
+
+
 def test_fixed_template_passthrough():
     assert expected_complexity(FixedBits(12.5)) == 12.5
 
