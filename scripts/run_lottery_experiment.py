@@ -6,7 +6,8 @@ whether every subject avoided the two simplest fixed combinations, and
 accumulate the complexity histogram of all choices.  Writes a summary
 JSON and a plot-ready histogram CSV.  Bad arguments, including sizes the
 experiment refuses and an output directory that cannot be made, exit 2
-with one error line before any file is written.
+with one error line before any file is written.  A result file that
+cannot be written also exits 2, with one error line naming it.
 
 Example:
     python scripts/run_lottery_experiment.py --seeds 200 --tau 7 \
@@ -32,9 +33,9 @@ from seqsurprise.lottery import (
 )
 
 
-def parse_args() -> tuple[argparse.Namespace, ExperimentConfig]:
-    """The arguments, and the experiment of the first seed; makes the output
-    directory."""
+def parse_args() -> tuple[argparse.ArgumentParser, argparse.Namespace, ExperimentConfig]:
+    """The parser, the arguments, and the experiment of the first seed;
+    makes the output directory."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, default=100,
                         help="number of independent experiment replications")
@@ -67,11 +68,11 @@ def parse_args() -> tuple[argparse.Namespace, ExperimentConfig]:
         args.out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         parser.error(f"cannot create --out-dir {str(args.out_dir)!r}: {exc.strerror}")
-    return args, base
+    return parser, args, base
 
 
 def main() -> None:
-    args, base = parse_args()
+    parser, args, base = parse_args()
     histogram: dict[int, int] = {}
     n_all_avoided = 0
     for rep in range(args.seeds):
@@ -95,9 +96,13 @@ def main() -> None:
     }
 
     hist_path = args.out_dir / "histogram.csv"
-    hist_path.write_text(histogram_csv(histogram))
     summary_path = args.out_dir / "summary.json"
-    summary_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    for path, text in ((hist_path, histogram_csv(histogram)),
+                       (summary_path, json.dumps(summary, sort_keys=True, indent=2) + "\n")):
+        try:
+            path.write_text(text)
+        except OSError as exc:
+            parser.exit(2, f"{parser.prog}: error: cannot write {str(path)!r}: {exc.strerror}\n")
 
     print(json.dumps(summary, sort_keys=True, indent=2))
     print(f"wrote {hist_path} and {summary_path}")

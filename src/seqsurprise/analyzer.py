@@ -22,13 +22,13 @@ charged at most once per sequence.
 
 How a token can be read depends only on the token, on whether it opens
 the sequence and on the step from the previous token, so one
-:class:`MoveTable` per call prices each ``(token, first)`` pair and each
-step once, for this scan and for the exact search in
-:mod:`seqsurprise.oracle` alike.  The table is never kept for the
-process: :func:`price_many` builds one per batch and drops it with the
-iterator, and :func:`analyze` builds one per call.
+:class:`MoveTable` per call, read by key, prices each ``(token, first)``
+pair and each step once, for this scan (and its mirror's half-scan) and
+for the exact search in :mod:`seqsurprise.oracle` alike.  The table is
+never kept for the process: :func:`price_many` builds one per batch and
+drops it with the iterator, and :func:`analyze` builds one per call.
 
-One flat scan serves both: it reads the table's int-keyed maps directly
+One flat scan serves both: it reads the table's maps by subscript
 and keeps short-term memory as a tuple of keys, updated by
 :func:`seqsurprise.program.touch`; the oracle keeps a
 :class:`~seqsurprise.program.StmState` per search node under the same
@@ -40,8 +40,9 @@ are checked when they are built, without checking them again.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 from .costmodel import Bits, CostModel, DEFAULT_MODEL, number_complexity
 from .program import (
@@ -113,11 +114,9 @@ def fresh_moves(token: int, model: CostModel, *, first: bool) -> list[Move]:
     return moves
 
 
-def explained_move(token: int, prev: int,
-                   model: CostModel) -> tuple[Move, Move] | None:
-    """COPY or INCREMENT reading of this token as a ``(charged, free)``
+def explained_move(step: int, model: CostModel) -> tuple[Move, Move] | None:
+    """The COPY or INCREMENT reading of a step as a ``(charged, free)``
     pair, if one applies; ``free`` is taken while its STM key is held."""
-    step = token - prev
     if step == 0:
         kind, args, cost = OpKind.COPY, (), model.copy_cost
     elif step in model.allowed_increments:
@@ -130,41 +129,45 @@ def explained_move(token: int, prev: int,
     return charged, free
 
 
-class MoveTable:
-    """One cost model's moves, each priced on first use.
+class _Priced(dict):
+    """A map that prices a key the first time it is read and keeps the result."""
 
-    ``fresh`` gives a ``(token, first)`` pair's fresh moves in canonical
-    order and the cheapest of them (``min`` keeps the first of equal
-    costs); ``explained`` gives the :func:`explained_move` pair of a step.
-    The same entries fill three int-keyed maps that the scan reads
-    directly: ``opening`` and ``later`` map a token to its cheapest fresh
-    move as the first token or after it, and ``steps`` maps a step to its
-    pair, or to ``None`` where neither COPY nor INCREMENT applies.
+    __slots__ = ("price",)
+
+    def __init__(self, price: Callable) -> None:
+        self.price = price
+
+    def __missing__(self, key):
+        value = self[key] = self.price(key)
+        return value
+
+
+class MoveTable:
+    """One cost model's moves, one map per kind of move, read by key.
+
+    ``opening_moves`` and ``later_moves`` map a token to its fresh moves in
+    canonical order as the first token or after it, and ``opening`` and
+    ``later`` to the cheapest of those (``min`` keeps the first of equal
+    costs).  ``steps`` maps a step to its :func:`explained_move` pair, or
+    to ``None`` where neither COPY nor INCREMENT applies.  A map prices a
+    key on its first read, calling ``fresh_moves`` or ``explained_move``
+    by their module names, so each ``(token, first)`` pair and each step
+    is priced once per table.  ``mirror`` is the one MIRROR move.
     """
 
     def __init__(self, model: CostModel) -> None:
         self.model = model
-        self._fresh: dict[tuple[int, bool], tuple[tuple[Move, ...], Move]] = {}
-        self.opening: dict[int, Move] = {}
-        self.later: dict[int, Move] = {}
-        self.steps: dict[int, tuple[Move, Move] | None] = {}
+        # no map refers back to the table, so dropping it frees it at once
+        self.opening_moves = first = _Priced(lambda t: tuple(fresh_moves(t, model, first=True)))
+        self.later_moves = later = _Priced(lambda t: tuple(fresh_moves(t, model, first=False)))
+        self.opening = _Priced(lambda t: min(first[t], key=lambda m: m.cost))
+        self.later = _Priced(lambda t: min(later[t], key=lambda m: m.cost))
+        self.steps = _Priced(lambda step: explained_move(step, model))
 
-    def fresh(self, token: int, first: bool) -> tuple[tuple[Move, ...], Move]:
-        entry = self._fresh.get((token, first))
-        if entry is None:
-            moves = tuple(fresh_moves(token, self.model, first=first))
-            entry = self._fresh[token, first] = (moves, min(moves, key=lambda m: m.cost))
-            (self.opening if first else self.later)[token] = entry[1]
-        return entry
-
-    def explained(self, token: int, prev: int) -> tuple[Move, Move] | None:
-        step = token - prev
-        if step not in self.steps:
-            self.steps[step] = explained_move(token, prev, self.model)
-        return self.steps[step]
-
-
-_UNPRICED = object()  # a step the table has not priced yet
+    @cached_property
+    def mirror(self) -> Move:
+        cost = self.model.mirror_cost
+        return Move((Operation(OpKind.MIRROR, (), cost),), cost)
 
 
 def _scan(toks: tuple[int, ...], table: MoveTable,
@@ -177,17 +180,15 @@ def _scan(toks: tuple[int, ...], table: MoveTable,
     capacity = table.model.stm_capacity
     later, steps = table.later, table.steps
     prev = toks[0]
-    move = table.opening.get(prev) or table.fresh(prev, True)[1]
+    move = table.opening[prev]
     total = move.cost
     if moves is not None:
         moves.append(move)
     slots: tuple = ()
     for token in toks[1:]:
-        pair = steps.get(token - prev, _UNPRICED)
-        if pair is _UNPRICED:
-            pair = table.explained(token, prev)
+        pair = steps[token - prev]
         if pair is None:
-            move = later.get(token) or table.fresh(token, False)[1]
+            move = later[token]
         else:
             charged, move = pair
             key = charged.key
@@ -219,10 +220,9 @@ def _describe(toks: tuple[int, ...], table: MoveTable,
     n = len(toks)
     if enable_mirror and n >= 2 and n % 2 == 0 and toks == toks[::-1]:
         half_total, half_moves = _describe(toks[: n // 2], table, True)
-        mirror_cost = table.model.mirror_cost
-        if half_total + mirror_cost < total - 1e-12:
-            mirror = Move((Operation(OpKind.MIRROR, (), mirror_cost),), mirror_cost)
-            return half_total + mirror_cost, half_moves + [mirror]
+        mirror = table.mirror
+        if half_total + mirror.cost < total - 1e-12:
+            return half_total + mirror.cost, half_moves + [mirror]
     return total, moves
 
 
@@ -279,7 +279,7 @@ def derive_10_to_70(model: CostModel = DEFAULT_MODEL) -> DescriptionProgram:
     default ties dup = copy and a unit charge for +1 and for the digit 1,
     the total is 3 * copy_cost + 2.
     """
-    plus_one = explained_move(11, 10, model)
+    plus_one = explained_move(1, model)
     if plus_one is None:
         raise ValueError("the round-tens account needs the +1 step, which "
                          f"allowed_increments {sorted(model.allowed_increments)} lacks")

@@ -7,17 +7,16 @@ memory state the analyzer uses, and returns the cheapest valid program.
 Branch and bound against the running best keeps the search cheap at the
 documented soft limit of 8 tokens; beyond that the tree grows quickly.
 
-Each solve reads its moves from one ``MoveTable``, the table the
-analyzer's scan reads: each position's COPY/INCREMENT reading as a
-``(charged, free)`` pair (chosen at each node by whether its short-term
-memory key is held), its mirror move and its fresh moves, so each
-distinct token and step is priced once per solve.  That removes the
-per-node repricing but not a single node: the tree, and so its
-exponential growth, is unchanged, which is why ``SOFT_LENGTH_LIMIT``
-stays and the command line interface still needs ``--allow-long`` (or
-exits 3) past it.  The search recurses once per emitted token, so a
-sequence longer than Python's recursion limit raises ``RecursionError``;
-the command line interface reports that as a capability limit too.
+Before the search, each position reads its moves by key from one
+``MoveTable`` per solve, the table the analyzer's scan reads: its step's
+COPY/INCREMENT pair (a node takes ``free`` while the short-term memory
+key is held, else ``charged``), the table's mirror move where the prefix
+is mirrored, and its fresh moves.  The tree still grows exponentially
+with length, so past ``SOFT_LENGTH_LIMIT`` the command line interface
+needs ``--allow-long`` (or exits 3).  The search recurses once per
+emitted token, so a sequence longer than Python's recursion limit
+raises ``RecursionError``; the command line interface reports that as a
+capability limit too.
 
 Ties are broken toward the lexicographically smallest operation stream:
 candidates are expanded in canonical order (copy, increment by rising
@@ -76,17 +75,16 @@ def oracle_min_cost(seq: Sequence[int], model: CostModel = DEFAULT_MODEL,
     toks = check_sequence(seq)
     use_mirror = OpKind.MIRROR in (budget or SearchBudget()).operators
     table = MoveTable(model)
-    mirror = Move((Operation(OpKind.MIRROR, (), model.mirror_cost),), model.mirror_cost)
     # Per position: the COPY/INCREMENT pair, if one applies, and the
     # mirror move, if it applies, followed by the fresh moves.
     steps: list[tuple[Move, Move] | None] = [None]
-    rest = [table.fresh(toks[0], True)[0]]
+    rest = [table.opening_moves[toks[0]]]
     for pos in range(1, len(toks)):
-        steps.append(table.explained(toks[pos], toks[pos - 1]))
-        moves = table.fresh(toks[pos], False)[0]
+        steps.append(table.steps[toks[pos] - toks[pos - 1]])
+        moves = table.later_moves[toks[pos]]
         # A mirror emits the reversal of everything produced so far.
         if use_mirror and toks[pos: pos + pos] == toks[:pos][::-1]:
-            moves = (mirror,) + moves
+            moves = (table.mirror,) + moves
         rest.append(moves)
     best_cost = math.inf
     best_ops: tuple[Operation, ...] = ()

@@ -21,7 +21,7 @@ def _moves(toks: tuple[int, ...], pos: int, stm: StmState, model: CostModel,
            operators: frozenset[OpKind]) -> list[Move]:
     moves: list[Move] = []
     if pos > 0:
-        pair = explained_move(toks[pos], toks[pos - 1], model)
+        pair = explained_move(toks[pos] - toks[pos - 1], model)
         if pair is not None:
             charged, free = pair
             moves.append(free if charged.key in stm else charged)

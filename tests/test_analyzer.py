@@ -226,7 +226,7 @@ def _rescan(toks, model, mirror):
     stm = StmState(model.stm_capacity)
     ops, total = [], 0.0
     for i, token in enumerate(toks):
-        pair = None if i == 0 else explained_move(token, toks[i - 1], model)
+        pair = None if i == 0 else explained_move(token - toks[i - 1], model)
         if pair is None:
             move = min(fresh_moves(token, model, first=i == 0), key=lambda m: m.cost)
         else:
@@ -296,9 +296,9 @@ def test_each_step_is_priced_once_per_call(monkeypatch):
     calls = Counter()
     real = analyzer.explained_move
 
-    def counting(token, prev, model):
-        calls[token - prev] += 1
-        return real(token, prev, model)
+    def counting(step, model):
+        calls[step] += 1
+        return real(step, model)
 
     monkeypatch.setattr(analyzer, "explained_move", counting)
     assert list(price_many(seqs)) == expected
@@ -306,6 +306,37 @@ def test_each_step_is_priced_once_per_call(monkeypatch):
     # every token made 17 per repetition, 340 in all
     assert set(calls.values()) == {1}
     assert sorted(calls) == [-34, -7, -1, 0, 1, 2, 34]
+
+
+@pytest.mark.parametrize("seq,fresh,steps", [
+    # the half 1 2 2 1 is a palindrome too, so its own half is scanned as well
+    ([1, 2, 2, 1, 1, 2, 2, 1], {(1, True), (1, False)}, {-1, 0, 1}),
+    ([10, 44, 44, 10], {(10, True), (44, False), (10, False)}, {-34, 0, 34}),
+])
+def test_mirror_half_scan_prices_nothing_again(monkeypatch, seq, fresh, steps):
+    expected = op_tuples(analyze(seq, enable_mirror=True).ops)
+    fresh_calls, step_calls = Counter(), Counter()
+    real_fresh, real_explained = analyzer.fresh_moves, analyzer.explained_move
+
+    def counting_fresh(token, model, *, first):
+        fresh_calls[token, first] += 1
+        return real_fresh(token, model, first=first)
+
+    def counting_explained(step, model):
+        step_calls[step] += 1
+        return real_explained(step, model)
+
+    monkeypatch.setattr(analyzer, "fresh_moves", counting_fresh)
+    monkeypatch.setattr(analyzer, "explained_move", counting_explained)
+    for _ in range(2):
+        fresh_calls.clear()
+        step_calls.clear()
+        assert op_tuples(analyze(seq, enable_mirror=True).ops) == expected
+        # the half-scans read the full scan's table: one pricing per
+        # (token, first) and per step in each call
+        assert set(fresh_calls.values()) == set(step_calls.values()) == {1}
+        assert set(fresh_calls) == fresh
+        assert set(step_calls) == steps
 
 
 def test_batch_builds_no_program(monkeypatch):

@@ -583,6 +583,18 @@ def test_experiment_script_refuses_an_out_dir_that_is_a_file(tmp_path):
     assert list(tmp_path.iterdir()) == [taken]
 
 
+def test_experiment_script_reports_a_file_it_cannot_write(tmp_path):
+    (tmp_path / "summary.json").mkdir()
+    proc = subprocess.run(
+        [sys.executable, str(EXPERIMENT_SCRIPT), "--seeds", "1", "--out-dir", str(tmp_path)],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "run_lottery_experiment.py: error: cannot write "
+        f"{str(tmp_path / 'summary.json')!r}: Is a directory"]
+
+
 def test_experiment_script_refuses_tau_without_the_weighted_model(tmp_path):
     assert _script_usage_error(tmp_path, "--seeds", "1", "--tau", "5") == (
         "--tau applies only with --choice-model complexity_weighted")
