@@ -15,10 +15,10 @@ step apart (34) are a digit plus a dissociated step-and-copy, and
 unrelated digits (10) are both digits plus the duplication.  Digit
 readings are self-contained; they do not enter short-term memory.
 
-COPY and INCREMENT(k) occupy short-term memory once used: while a kind
-is held, further uses are free.  Under the default capacity of 4 the
-three possible kinds never compete for slots, so each operator kind is
-charged at most once per sequence.
+COPY and INCREMENT(k) occupy short-term memory once used, each under
+its step (0 for COPY, k for INCREMENT(k)): while a step is held, further
+uses are free.  Under the default capacity of 4 the three possible steps
+never compete for slots, so each is charged at most once per sequence.
 
 How a token can be read depends only on the token, on whether it opens
 the sequence and on the step from the previous token, so one
@@ -29,7 +29,7 @@ never kept for the process: :func:`price_many` builds one per batch and
 drops it with the iterator, and :func:`analyze` builds one per call.
 
 One flat scan serves both: it reads the table's maps by subscript
-and keeps short-term memory as a tuple of keys, updated by
+and keeps short-term memory as a tuple of steps, updated by
 :func:`seqsurprise.program.touch`; the oracle keeps a
 :class:`~seqsurprise.program.StmState` per search node under the same
 rule.  :func:`price_many` yields costs only; :func:`analyze` also
@@ -43,15 +43,10 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 
 from .costmodel import Bits, CostModel, DEFAULT_MODEL, number_complexity
-from .program import (
-    DescriptionProgram,
-    Operation,
-    OpKind,
-    stm_key,
-    touch,
-)
+from .program import DescriptionProgram, Operation, OpKind, touch
 
 # Digit reading names, in tie-break order.
 PATH_REPEAT = "repeat"
@@ -75,7 +70,7 @@ class Move:
 
     ops: tuple[Operation, ...]
     cost: Bits
-    key: tuple | None = None  # stm key used by this move
+    key: int | None = None  # the step of a COPY (0) or INCREMENT reading
 
 
 def split_readings(token: int, model: CostModel) -> list[tuple[str, Bits]]:
@@ -116,16 +111,16 @@ def fresh_moves(token: int, model: CostModel, *, first: bool) -> list[Move]:
 
 def explained_move(step: int, model: CostModel) -> tuple[Move, Move] | None:
     """The COPY or INCREMENT reading of a step as a ``(charged, free)``
-    pair, if one applies; ``free`` is taken while its STM key is held."""
+    pair, if one applies; both are keyed by the step itself, and ``free``
+    is taken while short-term memory holds that key."""
     if step == 0:
         kind, args, cost = OpKind.COPY, (), model.copy_cost
     elif step in model.allowed_increments:
         kind, args, cost = OpKind.INCREMENT, (step,), model.increment_cost(step)
     else:
         return None
-    key = stm_key(kind, args)
-    charged = Move((Operation(kind, args, cost, free=cost == 0.0),), cost, key)
-    free = Move((Operation(kind, args, 0.0, free=True),), 0.0, key)
+    charged = Move((Operation(kind, args, cost, free=cost == 0.0),), cost, step)
+    free = Move((Operation(kind, args, 0.0, free=True),), 0.0, step)
     return charged, free
 
 
@@ -142,26 +137,29 @@ class _Priced(dict):
         return value
 
 
+def _with_cheapest(moves: list[Move]) -> tuple[Move, tuple[Move, ...]]:
+    """``(cheapest, moves)``; ``min`` keeps the first of equal costs."""
+    return min(moves, key=attrgetter("cost")), tuple(moves)
+
+
 class MoveTable:
     """One cost model's moves, one map per kind of move, read by key.
 
-    ``opening_moves`` and ``later_moves`` map a token to its fresh moves in
-    canonical order as the first token or after it, and ``opening`` and
-    ``later`` to the cheapest of those (``min`` keeps the first of equal
-    costs).  ``steps`` maps a step to its :func:`explained_move` pair, or
-    to ``None`` where neither COPY nor INCREMENT applies.  A map prices a
-    key on its first read, calling ``fresh_moves`` or ``explained_move``
-    by their module names, so each ``(token, first)`` pair and each step
-    is priced once per table.  ``mirror`` is the one MIRROR move.
+    ``opening`` and ``later`` map a token to ``(cheapest, moves)``: its
+    fresh moves in canonical order as the first token or after it, and
+    the cheapest of them.  ``steps`` maps a step to its
+    :func:`explained_move` pair, or to ``None`` where neither COPY nor
+    INCREMENT applies.  A map prices a key on its first read, calling
+    ``fresh_moves`` or ``explained_move`` by their module names, so each
+    ``(token, first)`` pair and each step is priced once per table.
+    ``mirror`` is the one MIRROR move.
     """
 
     def __init__(self, model: CostModel) -> None:
         self.model = model
         # no map refers back to the table, so dropping it frees it at once
-        self.opening_moves = first = _Priced(lambda t: tuple(fresh_moves(t, model, first=True)))
-        self.later_moves = later = _Priced(lambda t: tuple(fresh_moves(t, model, first=False)))
-        self.opening = _Priced(lambda t: min(first[t], key=lambda m: m.cost))
-        self.later = _Priced(lambda t: min(later[t], key=lambda m: m.cost))
+        self.opening = _Priced(lambda t: _with_cheapest(fresh_moves(t, model, first=True)))
+        self.later = _Priced(lambda t: _with_cheapest(fresh_moves(t, model, first=False)))
         self.steps = _Priced(lambda step: explained_move(step, model))
 
     @cached_property
@@ -175,12 +173,12 @@ def _scan(toks: tuple[int, ...], table: MoveTable,
     """Total cost of the left-to-right scan, adding costs in order.
 
     The chosen moves are appended to ``moves`` when a list is given.
-    Short-term memory is a tuple of keys, updated by :func:`touch`.
+    Short-term memory is a tuple of steps, updated by :func:`touch`.
     """
     capacity = table.model.stm_capacity
     later, steps = table.later, table.steps
     prev = toks[0]
-    move = table.opening[prev]
+    move = table.opening[prev][0]
     total = move.cost
     if moves is not None:
         moves.append(move)
@@ -188,7 +186,7 @@ def _scan(toks: tuple[int, ...], table: MoveTable,
     for token in toks[1:]:
         pair = steps[token - prev]
         if pair is None:
-            move = later[token]
+            move = later[token][0]
         else:
             charged, move = pair
             key = charged.key

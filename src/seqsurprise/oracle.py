@@ -9,8 +9,8 @@ documented soft limit of 8 tokens; beyond that the tree grows quickly.
 
 Before the search, each position reads its moves by key from one
 ``MoveTable`` per solve, the table the analyzer's scan reads: its step's
-COPY/INCREMENT pair (a node takes ``free`` while the short-term memory
-key is held, else ``charged``), the table's mirror move where the prefix
+COPY/INCREMENT pair (a node takes ``free`` while short-term memory
+holds the step, else ``charged``), the table's mirror move where the prefix
 is mirrored, and its fresh moves.  The tree still grows exponentially
 with length, so past ``SOFT_LENGTH_LIMIT`` the command line interface
 needs ``--allow-long`` (or exits 3).  The search recurses once per
@@ -78,10 +78,10 @@ def oracle_min_cost(seq: Sequence[int], model: CostModel = DEFAULT_MODEL,
     # Per position: the COPY/INCREMENT pair, if one applies, and the
     # mirror move, if it applies, followed by the fresh moves.
     steps: list[tuple[Move, Move] | None] = [None]
-    rest = [table.opening_moves[toks[0]]]
+    rest = [table.opening[toks[0]][1]]
     for pos in range(1, len(toks)):
         steps.append(table.steps[toks[pos] - toks[pos - 1]])
-        moves = table.later_moves[toks[pos]]
+        moves = table.later[toks[pos]][1]
         # A mirror emits the reversal of everything produced so far.
         if use_mirror and toks[pos: pos + pos] == toks[:pos][::-1]:
             moves = (table.mirror,) + moves

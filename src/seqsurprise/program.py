@@ -57,11 +57,12 @@ class ReplayError(ValueError):
 
 @dataclass
 class StmState:
-    """Bounded memory of recently used operator kinds.
+    """Bounded memory of recently used COPY and INCREMENT readings, each
+    keyed by its step (0 for COPY, k for INCREMENT(k)).
 
     Slots are ordered by most recent use; when full, the least recently
     used slot is dropped (first in, first out over use order).  Membership
-    is exact match on the slot key.
+    is exact match on the step.
     """
 
     capacity: int
@@ -81,8 +82,9 @@ class StmState:
 
 
 def touch(slots: tuple, key: object, capacity: int) -> tuple:
-    """Short-term memory after using ``key``: the :class:`StmState` rule
-    on an immutable tuple of slots, least recently used first.
+    """Short-term memory after using ``key``, a reading's step: the
+    :class:`StmState` rule on an immutable tuple of slots, least recently
+    used first.
 
     ``key`` moves to (or enters at) the newest slot, and the oldest slots
     drop past ``capacity``; a memory of capacity 0 holds nothing.
@@ -93,13 +95,6 @@ def touch(slots: tuple, key: object, capacity: int) -> tuple:
         i = slots.index(key)
         slots = slots[:i] + slots[i + 1:]
     return (slots + (key,))[-capacity:]
-
-
-def stm_key(kind: OpKind, args: tuple = ()) -> tuple:
-    """Slot key for an operator use; increments of different step differ."""
-    if kind is OpKind.INCREMENT:
-        return (kind.value, args[0])
-    return (kind.value,)
 
 
 @dataclass(frozen=True)

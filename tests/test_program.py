@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqsurprise.analyzer import analyze
+from seqsurprise.analyzer import MoveTable, analyze, explained_move, fresh_moves
+from seqsurprise.costmodel import DEFAULT_MODEL
 from seqsurprise.program import (
     DescriptionProgram,
     Operation,
@@ -10,7 +11,6 @@ from seqsurprise.program import (
     ReplayError,
     StmState,
     replay,
-    stm_key,
     touch,
 )
 
@@ -71,9 +71,13 @@ def test_touch_follows_the_stm_state_rule(capacity, keys):
         assert all((k in slots) == (k in stm) for k in "abcdefg")
 
 
-def test_stm_key_distinguishes_steps():
-    assert stm_key(OpKind.INCREMENT, (1,)) != stm_key(OpKind.INCREMENT, (2,))
-    assert stm_key(OpKind.COPY) == ("COPY",)
+def test_readings_are_keyed_by_their_step():
+    # COPY is step 0; each INCREMENT(k) is held apart from the others
+    keys = [tuple(move.key for move in explained_move(step, DEFAULT_MODEL))
+            for step in (0, 1, 2)]
+    assert keys == [(0, 0), (1, 1), (2, 2)]
+    assert all(move.key is None for move in fresh_moves(44, DEFAULT_MODEL, first=False))
+    assert MoveTable(DEFAULT_MODEL).mirror.key is None
 
 
 def test_program_total_must_match_charges():
