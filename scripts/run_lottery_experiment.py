@@ -7,7 +7,9 @@ accumulate the complexity histogram of all choices.  Writes a summary
 JSON and a plot-ready histogram CSV.  Bad arguments, including sizes the
 experiment refuses and an output directory that cannot be made, exit 2
 with one error line before any file is written.  A result file that
-cannot be written also exits 2, with one error line naming it.
+cannot be written also exits 2, with one error line naming it, and the
+other result file is removed if it was written, so a run leaves both
+files or neither.
 
 Example:
     python scripts/run_lottery_experiment.py --seeds 200 --tau 7 \
@@ -97,12 +99,16 @@ def main() -> None:
 
     hist_path = args.out_dir / "histogram.csv"
     summary_path = args.out_dir / "summary.json"
+    written: list[pathlib.Path] = []
     for path, text in ((hist_path, histogram_csv(histogram)),
                        (summary_path, json.dumps(summary, sort_keys=True, indent=2) + "\n")):
         try:
             path.write_text(text)
         except OSError as exc:
+            for done in written:  # both files or neither
+                done.unlink()
             parser.exit(2, f"{parser.prog}: error: cannot write {str(path)!r}: {exc.strerror}\n")
+        written.append(path)
 
     print(json.dumps(summary, sort_keys=True, indent=2))
     print(f"wrote {hist_path} and {summary_path}")

@@ -43,6 +43,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from math import isfinite
 from operator import attrgetter
 
 from .costmodel import Bits, CostModel, DEFAULT_MODEL, number_complexity
@@ -224,13 +225,25 @@ def _describe(toks: tuple[int, ...], table: MoveTable,
     return total, moves
 
 
+def _finite(total: Bits) -> Bits:
+    """A sequence's settled cost, which must be a finite float.
+
+    Checked once the mirror reading has had its chance: a plain scan that
+    overflows can still lose to a finite mirror reading.
+    """
+    if not isfinite(total):
+        raise ValueError("description cost is not a finite float: the cost "
+                         "model's charges sum past the largest float")
+    return total
+
+
 def _price_valid(toks_iter: Iterable[tuple[int, ...]],
                  model: CostModel) -> Iterator[Bits]:
     """:func:`price_many` over token tuples that have already passed
     :func:`check_sequence`, such as lottery combinations' numbers."""
     table = MoveTable(model)
     for toks in toks_iter:
-        yield _scan(toks, table)
+        yield _finite(_scan(toks, table))
 
 
 def price_many(seqs: Iterable[Sequence[int]],
@@ -256,7 +269,7 @@ def analyze(seq: Sequence[int], model: CostModel = DEFAULT_MODEL, *,
     toks = check_sequence(seq)
     total, moves = _describe(toks, MoveTable(model), enable_mirror)
     ops = [op for move in moves for op in move.ops]
-    return DescriptionProgram(tuple(ops), total, toks)
+    return DescriptionProgram(tuple(ops), _finite(total), toks)
 
 
 def derive_10_to_70(model: CostModel = DEFAULT_MODEL) -> DescriptionProgram:

@@ -111,4 +111,7 @@ def oracle_min_cost(seq: Sequence[int], model: CostModel = DEFAULT_MODEL,
             del ops[len(ops) - len(move.ops):]
 
     search(0, 0.0, StmState(model.stm_capacity), [])
+    if best_cost == math.inf:
+        raise ValueError("minimum description cost is not a finite float: the "
+                         "cost model's charges sum past the largest float")
     return best_cost, DescriptionProgram(best_ops, best_cost, toks)

@@ -94,6 +94,8 @@ def expected_complexity(template: ExpectationTemplate,
         # a left-to-right sum: sum() compensates float rounding from Python 3.12
         for bits in price_many(samples, model):
             total += bits
+        if not math.isfinite(total):
+            raise ValueError("the pool's summed sample costs are not a finite float")
         return total / template.n_samples
     raise TypeError(f"unknown expectation template {template!r}")
 
@@ -104,8 +106,15 @@ def unexpectedness(c_expected: Bits, c_observed: Bits) -> Bits:
 
 
 def subjective_probability(u: Bits) -> float:
-    """p = 2**-U.  Values above 1 (negative U) are reported as computed."""
-    return 2.0 ** (-u)
+    """p = 2**-U.  Values above 1 (negative U) are reported as computed;
+    a ``p`` past the largest float raises ``ValueError``."""
+    try:
+        p = 2.0 ** (-u)
+    except OverflowError:
+        p = math.inf
+    if not math.isfinite(p):
+        raise ValueError(f"subjective probability 2**{-u!r} is not a finite float")
+    return p
 
 
 def algorithmic_probability(c_bits: Bits) -> float:

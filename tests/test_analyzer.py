@@ -167,6 +167,18 @@ def test_mirror_not_taken_when_plain_is_cheaper():
     assert prog.total_cost == pytest.approx(3.0)
 
 
+def test_a_scan_past_the_largest_float_can_lose_to_a_finite_mirror():
+    # the plain scan pays two segment starts, which overflow; the half
+    # [1, 5] plus MIRROR pays one
+    model = CostModel(segment_start_cost=1.7e308)
+    prog = analyze([1, 5, 5, 1], model, enable_mirror=True)
+    assert prog.ops[-1].kind is OpKind.MIRROR and math.isfinite(prog.total_cost)
+    with pytest.raises(ValueError, match="not a finite float"):
+        analyze([1, 5, 5, 1], model)
+    with pytest.raises(ValueError, match="not a finite float"):
+        list(price_many([[1, 5, 5, 1]], model))
+
+
 def test_derive_10_to_70_default_cost_and_replay():
     prog = derive_10_to_70()
     assert prog.total_cost == pytest.approx(5.0)

@@ -195,6 +195,39 @@ def test_surprise_rejects_a_kdigit_expectation_that_overflows_the_model(tmp_path
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_surprise_past_the_largest_float_is_usage_error(capsys):
+    # 200 tokens three apart, no allowed step between them: about 1,661 bits
+    # observed against 1 expected, so p = 2**1660
+    code, out, err = run(capsys, ["surprise", *map(str, range(1, 600, 3)),
+                                  "--template", "fixed:1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not a finite float" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["complexity", "1", "5", "9", "--format", "json"],
+    ["oracle", "1", "5", "9"],
+    ["surprise", "1", "5", "9", "--template", "fixed:3", "--format", "json"],
+    ["lottery", "rank", "{tickets}", "--format", "json"],
+    ["lottery", "refcheck", "--format", "json"],
+    ["lottery", "experiment", "--seed", "1"],
+], ids=["complexity", "oracle", "surprise", "rank", "refcheck", "experiment"])
+def test_a_cost_past_the_largest_float_is_usage_error(argv, tmp_path, capsys):
+    # each charge is finite, but two segment starts sum past the largest float
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text("segment_start_cost = 1.7e308\n")
+    tickets = tmp_path / "tickets.txt"
+    tickets.write_text("1 5 9 20 30 44\n")
+    code, out, err = run(capsys, [a.format(tickets=tickets) for a in argv]
+                         + ["--config", str(cfg)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not a finite float" in err
+
+
 def test_config_file_changes_costs(tmp_path, capsys):
     cfg = tmp_path / "model.cfg"
     cfg.write_text("copy_cost = 2.0\n")

@@ -595,6 +595,16 @@ def test_experiment_script_reports_a_file_it_cannot_write(tmp_path):
         f"{str(tmp_path / 'summary.json')!r}: Is a directory"]
 
 
+@pytest.mark.parametrize("blocked", ["histogram.csv", "summary.json"])
+def test_experiment_script_writes_both_files_or_neither(blocked, tmp_path):
+    (tmp_path / blocked).mkdir()
+    proc = subprocess.run(
+        [sys.executable, str(EXPERIMENT_SCRIPT), "--seeds", "1", "--out-dir", str(tmp_path)],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert list(tmp_path.iterdir()) == [tmp_path / blocked]
+
+
 def test_experiment_script_refuses_tau_without_the_weighted_model(tmp_path):
     assert _script_usage_error(tmp_path, "--seeds", "1", "--tau", "5") == (
         "--tau applies only with --choice-model complexity_weighted")

@@ -59,6 +59,15 @@ def test_kdigit_template_refuses_an_expectation_that_overflows():
     assert expected_complexity(KDigitNumber(k)) == 1.0 + k * LOG2_10
 
 
+def test_monte_carlo_pool_refuses_a_sum_that_overflows():
+    # each sample costs about 1e308, finite, but two of them sum past the
+    # largest float
+    model = CostModel(segment_start_cost=1e308)
+    pool = MonteCarloPool(sampler=lambda rng: [1, 5], n_samples=2, seed=1)
+    with pytest.raises(ValueError, match="not a finite float"):
+        expected_complexity(pool, model)
+
+
 def test_fixed_template_passthrough():
     assert expected_complexity(FixedBits(12.5)) == 12.5
 
