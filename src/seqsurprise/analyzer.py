@@ -28,14 +28,22 @@ for the exact search in :mod:`seqsurprise.oracle` alike.  The table is
 never kept for the process: :func:`price_many` builds one per batch and
 drops it with the iterator, and :func:`analyze` builds one per call.
 
-One flat scan serves both: it reads the table's maps by subscript
-and keeps short-term memory as a tuple of steps, updated by
+The scan keeps only the cheapest fresh reading of a token, so the table
+holds that reading as plain numbers (its cost, its digit path and its
+operation's charge), priced by :func:`cheapest_fresh` without building
+a :class:`Move`; the exact search, which tries every fresh reading, reads
+them from a separate map filled by :func:`fresh_moves`.
+
+One flat scan serves both: it reads the table's maps by subscript, adds
+the costs and keeps short-term memory as a tuple of steps, updated by
 :func:`seqsurprise.program.touch`; the oracle keeps a
 :class:`~seqsurprise.program.StmState` per search node under the same
-rule.  :func:`price_many` yields costs only; :func:`analyze` also
-collects the scan's moves and flattens them into a validated
-:class:`DescriptionProgram`.  The lottery prices combinations, which
-are checked when they are built, without checking them again.
+rule.  :func:`price_many` yields costs only and builds no move for a
+fresh reading; :func:`analyze` also has the scan build the one move of
+each fresh token it keeps, collects the scan's moves and flattens them
+into a validated :class:`DescriptionProgram`.  The lottery prices
+combinations, which are checked when they are built, without checking
+them again.
 """
 
 from __future__ import annotations
@@ -44,7 +52,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from math import isfinite
-from operator import attrgetter
+from operator import itemgetter
 
 from .costmodel import Bits, CostModel, DEFAULT_MODEL, number_complexity
 from .program import DescriptionProgram, Operation, OpKind, touch
@@ -93,21 +101,44 @@ def split_readings(token: int, model: CostModel) -> list[tuple[str, Bits]]:
     return readings
 
 
+def _fresh_readings(token: int, model: CostModel,
+                    first: bool) -> list[tuple[Bits, str | None, Bits]]:
+    """Ways to start a segment at this token as plain numbers, in canonical
+    order: ``(cost, path, bits)`` for a plain instantiate (``path`` None),
+    then for each digit reading named by its ``path``; ``bits`` is the
+    reading's own charge, and ``cost`` adds the segment charge after the
+    first token."""
+    seg_cost = 0.0 if first else model.segment_start_cost
+    rank_bits = number_complexity(token)
+    return [(seg_cost + rank_bits, None, rank_bits)] + [
+        (seg_cost + bits, path, bits) for path, bits in split_readings(token, model)]
+
+
+def cheapest_fresh(token: int, model: CostModel, *,
+                   first: bool) -> tuple[Bits, str | None, Bits]:
+    """The cheapest fresh reading as ``(cost, path, bits)``, built into no
+    :class:`Move`; ``min`` keeps the first of equal costs."""
+    return min(_fresh_readings(token, model, first), key=itemgetter(0))
+
+
+def _fresh_move(token: int, reading: tuple[Bits, str | None, Bits],
+                model: CostModel, first: bool) -> Move:
+    cost, path, bits = reading
+    if path is None:
+        op = Operation(OpKind.INSTANTIATE, (token,), bits)
+    else:
+        op = Operation(OpKind.SPLIT_DIGITS, (token, path), bits)
+    if first:
+        return Move((op,), cost)
+    seg_cost = model.segment_start_cost
+    return Move((Operation(OpKind.SEGMENT_START, (), seg_cost), op), cost)
+
+
 def fresh_moves(token: int, model: CostModel, *, first: bool) -> list[Move]:
     """Ways to start a segment at this token, in canonical order: plain
     instantiate, then the digit readings.  The first of equal costs wins."""
-    seg_ops: tuple[Operation, ...] = ()
-    seg_cost = 0.0
-    if not first:
-        seg_cost = model.segment_start_cost
-        seg_ops = (Operation(OpKind.SEGMENT_START, (), seg_cost),)
-    rank_bits = number_complexity(token)
-    moves = [Move(seg_ops + (Operation(OpKind.INSTANTIATE, (token,), rank_bits),),
-                  seg_cost + rank_bits)]
-    moves += [Move(seg_ops + (Operation(OpKind.SPLIT_DIGITS, (token, path), bits),),
-                   seg_cost + bits)
-              for path, bits in split_readings(token, model)]
-    return moves
+    return [_fresh_move(token, reading, model, first)
+            for reading in _fresh_readings(token, model, first)]
 
 
 def explained_move(step: int, model: CostModel) -> tuple[Move, Move] | None:
@@ -138,30 +169,33 @@ class _Priced(dict):
         return value
 
 
-def _with_cheapest(moves: list[Move]) -> tuple[Move, tuple[Move, ...]]:
-    """``(cheapest, moves)``; ``min`` keeps the first of equal costs."""
-    return min(moves, key=attrgetter("cost")), tuple(moves)
-
-
 class MoveTable:
     """One cost model's moves, one map per kind of move, read by key.
 
-    ``opening`` and ``later`` map a token to ``(cheapest, moves)``: its
-    fresh moves in canonical order as the first token or after it, and
-    the cheapest of them.  ``steps`` maps a step to its
-    :func:`explained_move` pair, or to ``None`` where neither COPY nor
-    INCREMENT applies.  A map prices a key on its first read, calling
-    ``fresh_moves`` or ``explained_move`` by their module names, so each
-    ``(token, first)`` pair and each step is priced once per table.
-    ``mirror`` is the one MIRROR move.
+    ``opening`` and ``later`` map a token, as the first token or after
+    it, to its cheapest fresh reading as plain numbers, ``(cost, path,
+    bits)`` from :func:`cheapest_fresh`; :meth:`cheapest_move` builds the
+    :class:`Move` of that reading.  ``fresh`` maps ``(token, first)`` to
+    every fresh move, built by :func:`fresh_moves` in canonical order, for
+    the exact search.  ``steps`` maps a step to its :func:`explained_move`
+    pair, or to ``None`` where neither COPY nor INCREMENT applies.  A map
+    prices a key on its first read, calling those functions by their
+    module names, so each key is priced once per table.  ``mirror`` is
+    the one MIRROR move.
     """
 
     def __init__(self, model: CostModel) -> None:
         self.model = model
         # no map refers back to the table, so dropping it frees it at once
-        self.opening = _Priced(lambda t: _with_cheapest(fresh_moves(t, model, first=True)))
-        self.later = _Priced(lambda t: _with_cheapest(fresh_moves(t, model, first=False)))
+        self.opening = _Priced(lambda t: cheapest_fresh(t, model, first=True))
+        self.later = _Priced(lambda t: cheapest_fresh(t, model, first=False))
+        self.fresh = _Priced(lambda key: tuple(fresh_moves(key[0], model, first=key[1])))
         self.steps = _Priced(lambda step: explained_move(step, model))
+
+    def cheapest_move(self, token: int, *, first: bool) -> Move:
+        """The move of ``token``'s cheapest fresh reading, built anew."""
+        reading = (self.opening if first else self.later)[token]
+        return _fresh_move(token, reading, self.model, first)
 
     @cached_property
     def mirror(self) -> Move:
@@ -173,21 +207,24 @@ def _scan(toks: tuple[int, ...], table: MoveTable,
           moves: list[Move] | None = None) -> Bits:
     """Total cost of the left-to-right scan, adding costs in order.
 
-    The chosen moves are appended to ``moves`` when a list is given.
-    Short-term memory is a tuple of steps, updated by :func:`touch`.
+    Fresh readings are added as the table's plain costs; only when a
+    ``moves`` list is given is the chosen move of each token built (for
+    a fresh token) and appended to it.  Short-term memory is a tuple of
+    steps, updated by :func:`touch`.
     """
     capacity = table.model.stm_capacity
     later, steps = table.later, table.steps
     prev = toks[0]
-    move = table.opening[prev][0]
-    total = move.cost
+    total = table.opening[prev][0]
     if moves is not None:
-        moves.append(move)
+        moves.append(table.cheapest_move(prev, first=True))
     slots: tuple = ()
     for token in toks[1:]:
         pair = steps[token - prev]
         if pair is None:
-            move = later[token][0]
+            total += later[token][0]
+            if moves is not None:
+                moves.append(table.cheapest_move(token, first=False))
         else:
             charged, move = pair
             key = charged.key
@@ -196,9 +233,9 @@ def _scan(toks: tuple[int, ...], table: MoveTable,
                 if key not in slots:
                     move = charged
                 slots = touch(slots, key, capacity)
-        if moves is not None:
-            moves.append(move)
-        total += move.cost
+            if moves is not None:
+                moves.append(move)
+            total += move.cost
         prev = token
     return total
 

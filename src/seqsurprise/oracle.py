@@ -11,7 +11,8 @@ Before the search, each position reads its moves by key from one
 ``MoveTable`` per solve, the table the analyzer's scan reads: its step's
 COPY/INCREMENT pair (a node takes ``free`` while short-term memory
 holds the step, else ``charged``), the table's mirror move where the prefix
-is mirrored, and its fresh moves.  The tree still grows exponentially
+is mirrored, and its fresh moves from the table's ``fresh`` map, built by
+``fresh_moves`` in canonical order.  The tree still grows exponentially
 with length, so past ``SOFT_LENGTH_LIMIT`` the command line interface
 needs ``--allow-long`` (or exits 3).  The search recurses once per
 emitted token, so a sequence longer than Python's recursion limit
@@ -78,10 +79,10 @@ def oracle_min_cost(seq: Sequence[int], model: CostModel = DEFAULT_MODEL,
     # Per position: the COPY/INCREMENT pair, if one applies, and the
     # mirror move, if it applies, followed by the fresh moves.
     steps: list[tuple[Move, Move] | None] = [None]
-    rest = [table.opening[toks[0]][1]]
+    rest = [table.fresh[toks[0], True]]
     for pos in range(1, len(toks)):
         steps.append(table.steps[toks[pos] - toks[pos - 1]])
-        moves = table.later[toks[pos]][1]
+        moves = table.fresh[toks[pos], False]
         # A mirror emits the reversal of everything produced so far.
         if use_mirror and toks[pos: pos + pos] == toks[:pos][::-1]:
             moves = (table.mirror,) + moves

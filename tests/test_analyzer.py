@@ -286,19 +286,26 @@ def test_each_fresh_reading_is_priced_once_per_call(monkeypatch):
     seqs = [[3, 3, 7, 5], [5, 3, 9, 5], [7, 10, 3], [1, 2, 2, 1],
             [10, 44, 44, 10], [44, 10]] * 20
     expected = [analyze(s).total_cost for s in seqs]
-    calls = Counter()
-    real = analyzer.fresh_moves
+    calls, built = Counter(), Counter()
+    real, real_moves = analyzer.cheapest_fresh, analyzer.fresh_moves
 
     def counting(token, model, *, first, **kwargs):
         calls[token, first] += 1
         return real(token, model, first=first, **kwargs)
 
-    monkeypatch.setattr(analyzer, "fresh_moves", counting)
+    def building(token, model, *, first):
+        built[token, first] += 1
+        return real_moves(token, model, first=first)
+
+    monkeypatch.setattr(analyzer, "cheapest_fresh", counting)
+    monkeypatch.setattr(analyzer, "fresh_moves", building)
     assert list(price_many(seqs)) == expected
     # one pricing per distinct (token, first); rebuilding the readings at
     # every fresh start priced 20 per repetition, 400 in all
     assert set(calls.values()) == {1}
     assert len(calls) == 13
+    # a batch prices readings as numbers and builds no fresh move
+    assert sum(built.values()) == 0
 
 
 def test_each_step_is_priced_once_per_call(monkeypatch):
@@ -328,7 +335,7 @@ def test_each_step_is_priced_once_per_call(monkeypatch):
 def test_mirror_half_scan_prices_nothing_again(monkeypatch, seq, fresh, steps):
     expected = op_tuples(analyze(seq, enable_mirror=True).ops)
     fresh_calls, step_calls = Counter(), Counter()
-    real_fresh, real_explained = analyzer.fresh_moves, analyzer.explained_move
+    real_fresh, real_explained = analyzer.cheapest_fresh, analyzer.explained_move
 
     def counting_fresh(token, model, *, first):
         fresh_calls[token, first] += 1
@@ -338,7 +345,7 @@ def test_mirror_half_scan_prices_nothing_again(monkeypatch, seq, fresh, steps):
         step_calls[step] += 1
         return real_explained(step, model)
 
-    monkeypatch.setattr(analyzer, "fresh_moves", counting_fresh)
+    monkeypatch.setattr(analyzer, "cheapest_fresh", counting_fresh)
     monkeypatch.setattr(analyzer, "explained_move", counting_explained)
     for _ in range(2):
         fresh_calls.clear()
@@ -361,6 +368,71 @@ def test_batch_builds_no_program(monkeypatch):
 
     monkeypatch.setattr(analyzer, "DescriptionProgram", no_program)
     assert list(price_many(seqs * 200)) == expected * 200
+
+
+# no step between neighbours is a COPY or an allowed increment, so every
+# token is read fresh
+ALL_FRESH = [[5, 30, 7, 44], [44, 10, 3], [5, 30, 5, 30], [99, 12, 60, 21]]
+
+
+def test_batch_builds_no_operation_for_a_fresh_reading(monkeypatch):
+    expected = [analyze(s).total_cost for s in ALL_FRESH]
+
+    def no_operation(*args, **kwargs):
+        raise AssertionError("a batch built an Operation")
+
+    monkeypatch.setattr(analyzer, "Operation", no_operation)
+    assert list(price_many(ALL_FRESH)) == expected
+
+
+def test_analyze_builds_one_move_per_fresh_token(monkeypatch):
+    expected = [op_tuples(analyze(s).ops) for s in ALL_FRESH]
+    built = []
+    real = analyzer.Move
+
+    def counting(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(analyzer, "Move", counting)
+    for seq, ops in zip(ALL_FRESH, expected):
+        built.clear()
+        assert op_tuples(analyze(seq).ops) == ops
+        # only the kept reading of each token, repeated tokens included
+        assert len(built) == len(seq)
+
+
+tie_charges = st.one_of(st.sampled_from([0.0, 0.5, 1.0, math.log2(3), 2.0]),
+                        st.floats(min_value=0.0, max_value=4.0))
+
+
+@st.composite
+def tie_models(draw):
+    """Cost models whose fresh readings often tie: zero charges, a free
+    duplication, overridden step charges and steps 1-5."""
+    steps = draw(st.frozensets(st.integers(min_value=1, max_value=5), min_size=1))
+    overrides = draw(st.dictionaries(st.sampled_from(sorted(steps)), tie_charges))
+    return CostModel(copy_cost=draw(tie_charges),
+                     dup_cost=draw(st.one_of(st.just(0.0), tie_charges)),
+                     segment_start_cost=draw(tie_charges),
+                     zero_after_nine_cost=draw(tie_charges),
+                     allowed_increments=steps,
+                     increment_cost_overrides=tuple(sorted(overrides.items())))
+
+
+@settings(max_examples=60)
+@given(tie_models())
+def test_table_keeps_the_first_cheapest_fresh_move(model):
+    table = analyzer.MoveTable(model)
+    # 0-200 holds every digit reading and the near tie 29
+    for token in range(201):
+        for first in (True, False):
+            cheapest = min(fresh_moves(token, model, first=first), key=lambda m: m.cost)
+            entry = (table.opening if first else table.later)[token]
+            assert entry[0].hex() == cheapest.cost.hex()
+            built = table.cheapest_move(token, first=first)
+            assert built.cost.hex() == cheapest.cost.hex()
+            assert op_tuples(built.ops) == op_tuples(cheapest.ops)
 
 
 def test_batch_is_lazy_and_checks_each_sequence():
