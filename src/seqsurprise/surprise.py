@@ -133,7 +133,8 @@ def observed_number_complexity(n: int, model: CostModel = DEFAULT_MODEL
     after a nine charged at the model's dearer rate.  The digit choices are
     counted and priced by the same expression as the expected k-digit
     process, so a number with no repeated adjacent digits and no zero after
-    a nine costs exactly that and carries no surprise (U = 0).
+    a nine costs exactly that and carries no surprise (U = 0).  A total
+    past the largest float raises ``ValueError``.
     """
     if n < 0:
         raise ValueError(f"expected a nonnegative number, got {n}")
@@ -153,6 +154,9 @@ def observed_number_complexity(n: int, model: CostModel = DEFAULT_MODEL
         prev = d
     total = (model.copy_cost + choices * DIGIT_CHOICE_BITS
              + zeros_after_nine * model.zero_after_nine_cost)
+    if not math.isfinite(total):
+        raise ValueError("the number's digit-by-digit cost is not a finite float: "
+                         "the cost model's charges sum past the largest float")
     lines.append(f"total: {total:.6f}")
     return total, tuple(lines)
 

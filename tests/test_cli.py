@@ -228,6 +228,18 @@ def test_a_cost_past_the_largest_float_is_usage_error(argv, tmp_path, capsys):
     assert "not a finite float" in err
 
 
+def test_a_number_cost_past_the_largest_float_is_usage_error(tmp_path, capsys):
+    # one number read digit by digit: the slot copy and the zero after the
+    # nine are each finite, but not their sum
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text("copy_cost = 1.7e308\nzero_after_nine_cost = 1.7e308\n")
+    code, out, err = run(capsys, ["surprise", "90", "--config", str(cfg)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "digit-by-digit cost is not a finite float" in err
+
+
 def test_config_file_changes_costs(tmp_path, capsys):
     cfg = tmp_path / "model.cfg"
     cfg.write_text("copy_cost = 2.0\n")

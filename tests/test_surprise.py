@@ -127,6 +127,17 @@ def test_observed_number_complexity_values():
         observed_number_complexity(-3)
 
 
+def test_observed_number_complexity_refuses_a_total_that_overflows():
+    # each charge is finite, about 1.7e308, but the copy and the dearer
+    # zero after the nine sum past the largest float
+    model = CostModel(copy_cost=1.7e308, zero_after_nine_cost=1.7e308)
+    with pytest.raises(ValueError, match="digit-by-digit cost is not a finite float"):
+        observed_number_complexity(90, model)
+    with pytest.raises(ValueError, match="digit-by-digit cost is not a finite float"):
+        number_surprise(90, model=model)
+    assert observed_number_complexity(91, model)[0] == 1.7e308 + 2 * LOG2_10
+
+
 def test_observed_number_trace_shape():
     bits, trace = observed_number_complexity(33333)
     assert len(trace) == 7  # slot line, five digit lines, total line
