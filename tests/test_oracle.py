@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 from collections import Counter
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import seqsurprise
 from brute_force import brute_force_min_cost
-from conftest import cost_models, op_tuples
+from conftest import charges, cost_models, op_tuples
 from seqsurprise import analyzer, oracle
 from seqsurprise.analyzer import analyze, naive_cost
 from seqsurprise.costmodel import CostModel
@@ -62,6 +63,36 @@ def test_witness_is_sound(seq, model, operators):
 @settings(max_examples=150)
 @given(brute_sequences, cost_models, operator_sets)
 def test_witness_matches_unpruned_enumeration(seq, model, operators):
+    cost, prog = oracle_min_cost(seq, model, SearchBudget(operators=operators))
+    ref_cost, ref_ops = brute_force_min_cost(seq, model, operators)
+    assert cost == ref_cost
+    assert op_tuples(prog.ops) == op_tuples(ref_ops)
+
+
+@st.composite
+def evicting_cases(draw):
+    """A model with room for 0-2 steps in short-term memory and a sequence
+    of at most six tokens whose COPY/INCREMENT steps (increments 1-5) are
+    more, distinct, than it holds, so some reading is evicted."""
+    capacity = draw(st.integers(min_value=0, max_value=2))
+    allowed = draw(st.frozensets(st.integers(min_value=1, max_value=5),
+                                 min_size=max(capacity, 1)))
+    model = CostModel(copy_cost=draw(charges), dup_cost=draw(charges),
+                      segment_start_cost=draw(charges), mirror_cost=draw(charges),
+                      stm_capacity=capacity, allowed_increments=allowed)
+    kinds = [0, *sorted(allowed)]
+    distinct = draw(st.lists(st.sampled_from(kinds), min_size=capacity + 1,
+                             max_size=capacity + 1, unique=True))
+    extra = draw(st.lists(st.sampled_from(kinds), max_size=4 - capacity))
+    steps = draw(st.permutations(distinct + extra))
+    seq = list(itertools.accumulate(steps, initial=draw(st.integers(0, 12))))
+    return seq, model
+
+
+@settings(max_examples=150)
+@given(evicting_cases(), operator_sets)
+def test_witness_matches_unpruned_enumeration_past_capacity(case, operators):
+    seq, model = case
     cost, prog = oracle_min_cost(seq, model, SearchBudget(operators=operators))
     ref_cost, ref_ops = brute_force_min_cost(seq, model, operators)
     assert cost == ref_cost
