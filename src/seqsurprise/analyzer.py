@@ -116,28 +116,35 @@ def _fresh_readings(token: int, model: CostModel,
 
 def cheapest_fresh(token: int, model: CostModel, *,
                    first: bool) -> tuple[Bits, str | None, Bits]:
-    """The cheapest fresh reading as ``(cost, path, bits)``, built into no
-    :class:`Move`; ``min`` keeps the first of equal costs."""
+    """The cheapest fresh reading as ``(cost, path, bits)``, without
+    building a :class:`Move`; ``min`` keeps the first of equal costs."""
     return min(_fresh_readings(token, model, first), key=itemgetter(0))
 
 
+def _segment_ops(model: CostModel, first: bool) -> tuple[Operation, ...]:
+    """The segment start that opens a fresh reading after the first token."""
+    if first:
+        return ()
+    return (Operation(OpKind.SEGMENT_START, (), model.segment_start_cost),)
+
+
 def _fresh_move(token: int, reading: tuple[Bits, str | None, Bits],
-                model: CostModel, first: bool) -> Move:
+                seg_ops: tuple[Operation, ...]) -> Move:
+    """The move of one fresh reading: ``seg_ops``, then the reading's own
+    operation."""
     cost, path, bits = reading
     if path is None:
         op = Operation(OpKind.INSTANTIATE, (token,), bits)
     else:
         op = Operation(OpKind.SPLIT_DIGITS, (token, path), bits)
-    if first:
-        return Move((op,), cost)
-    seg_cost = model.segment_start_cost
-    return Move((Operation(OpKind.SEGMENT_START, (), seg_cost), op), cost)
+    return Move(seg_ops + (op,), cost)
 
 
 def fresh_moves(token: int, model: CostModel, *, first: bool) -> list[Move]:
     """Ways to start a segment at this token, in canonical order: plain
     instantiate, then the digit readings.  The first of equal costs wins."""
-    return [_fresh_move(token, reading, model, first)
+    seg_ops = _segment_ops(model, first)
+    return [_fresh_move(token, reading, seg_ops)
             for reading in _fresh_readings(token, model, first)]
 
 
@@ -195,7 +202,7 @@ class MoveTable:
     def cheapest_move(self, token: int, *, first: bool) -> Move:
         """The move of ``token``'s cheapest fresh reading, built anew."""
         reading = (self.opening if first else self.later)[token]
-        return _fresh_move(token, reading, self.model, first)
+        return _fresh_move(token, reading, _segment_ops(self.model, first))
 
     @cached_property
     def mirror(self) -> Move:
