@@ -2,22 +2,25 @@
 
 The oracle explores every way of explaining each token (copy, allowed
 increments, plain instantiation, every digit reading, and optionally a
-mirror of the tokens emitted so far), tracking the same short-term
-memory state the analyzer uses, and returns the cheapest valid program.
-Branch and bound against the running best keeps the search cheap at the
-documented soft limit of 8 tokens; beyond that the tree grows quickly.
+mirror of the tokens emitted so far) and returns the cheapest valid
+program.  Each search node holds its own
+:class:`~seqsurprise.program.StmState`, which follows the analyzer's
+short-term memory rule, :func:`seqsurprise.program.touch`.  Branch and
+bound against the running best keeps the search cheap at the documented
+soft limit of 8 tokens; beyond that the tree grows quickly.
 
 Before the search, each position reads its moves by key from one
 ``MoveTable`` per solve, the table the analyzer's scan reads: its step's
-COPY/INCREMENT pair (a node takes ``free`` while short-term memory
-holds the step, else ``charged``), the table's mirror move where the prefix
-is mirrored, and its fresh moves from the table's ``fresh`` map, built by
-``fresh_moves`` in canonical order.  The tree still grows exponentially
-with length, so past ``SOFT_LENGTH_LIMIT`` the command line interface
-needs ``--allow-long`` (or exits 3).  The search recurses once per
-emitted token, so a sequence longer than Python's recursion limit
-raises ``RecursionError``; the command line interface reports that as a
-capability limit too.
+COPY/INCREMENT pair (a node takes ``free`` while its memory holds the
+step, else ``charged``), the table's mirror move where the prefix is
+mirrored, and its fresh moves from the table's ``fresh`` map, built by
+``fresh_moves`` in canonical order.  The tree grows exponentially with
+length, so past ``SOFT_LENGTH_LIMIT`` the command line interface needs
+``--allow-long`` (or exits 3).  The search recurses once per emitted
+token, so a sequence longer than Python's recursion limit raises
+``RecursionError``; the command line interface reports that as a
+capability limit too.  A minimum that is not a finite float raises
+``ValueError``, as the analyzer's costs do.
 
 Ties are broken toward the lexicographically smallest operation stream:
 candidates are expanded in canonical order (copy, increment by rising
@@ -37,7 +40,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .analyzer import Move, MoveTable, check_sequence
+from .analyzer import Move, MoveTable, _finite, check_sequence
 from .costmodel import Bits, CostModel, DEFAULT_MODEL
 from .program import DescriptionProgram, Operation, OpKind, StmState
 
@@ -104,7 +107,7 @@ def oracle_min_cost(seq: Sequence[int], model: CostModel = DEFAULT_MODEL,
             moves = (free if charged.key in stm else charged,) + moves
         for move in moves:
             emitted = pos if move.ops[-1].kind is OpKind.MIRROR else 1
-            child = StmState(stm.capacity, list(stm.slots))
+            child = StmState(stm.capacity, stm.slots)
             if move.key is not None:
                 child.touch(move.key)
             ops.extend(move.ops)
@@ -112,7 +115,4 @@ def oracle_min_cost(seq: Sequence[int], model: CostModel = DEFAULT_MODEL,
             del ops[len(ops) - len(move.ops):]
 
     search(0, 0.0, StmState(model.stm_capacity), [])
-    if best_cost == math.inf:
-        raise ValueError("minimum description cost is not a finite float: the "
-                         "cost model's charges sum past the largest float")
-    return best_cost, DescriptionProgram(best_ops, best_cost, toks)
+    return _finite(best_cost), DescriptionProgram(best_ops, best_cost, toks)

@@ -10,7 +10,7 @@ oracle are responsible for charging them correctly.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class OpKind(enum.Enum):
@@ -57,35 +57,27 @@ class ReplayError(ValueError):
 
 @dataclass
 class StmState:
-    """Bounded memory of recently used COPY and INCREMENT readings, each
-    keyed by its step (0 for COPY, k for INCREMENT(k)).
-
-    Slots are ordered by most recent use; when full, the least recently
-    used slot is dropped (first in, first out over use order).  Membership
-    is exact match on the step.
-    """
+    """A short-term memory of ``capacity`` slots that :func:`touch` updates
+    in place."""
 
     capacity: int
-    slots: list = field(default_factory=list)
+    slots: tuple = ()
 
     def __contains__(self, item: object) -> bool:
         return item in self.slots
 
     def touch(self, item: object) -> None:
-        if self.capacity <= 0:
-            return
-        if item in self.slots:
-            self.slots.remove(item)
-        self.slots.append(item)
-        while len(self.slots) > self.capacity:
-            self.slots.pop(0)
+        self.slots = touch(self.slots, item, self.capacity)
 
 
 def touch(slots: tuple, key: object, capacity: int) -> tuple:
-    """Short-term memory after using ``key``, a reading's step: the
-    :class:`StmState` rule on an immutable tuple of slots, least recently
-    used first.
+    """Short-term memory after using ``key``: the one least-recently-used
+    rule.
 
+    Short-term memory holds the COPY and INCREMENT readings used so far,
+    each keyed by its step (0 for COPY, k for INCREMENT(k)), as a tuple of
+    at most ``capacity`` steps, least recently used first; membership is an
+    exact match on the step, and a reading whose step is held is free.
     ``key`` moves to (or enters at) the newest slot, and the oldest slots
     drop past ``capacity``; a memory of capacity 0 holds nothing.
     """

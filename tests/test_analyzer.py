@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brute_force import _remember
 from conftest import cost_models, op_tuples
 from seqsurprise import analyzer
 from seqsurprise.analyzer import (
@@ -20,7 +21,7 @@ from seqsurprise.analyzer import (
     split_readings,
 )
 from seqsurprise.costmodel import CostModel, DEFAULT_MODEL
-from seqsurprise.program import Operation, OpKind, StmState, replay
+from seqsurprise.program import Operation, OpKind, replay
 
 # Reference six-number rows and their costs under the default model,
 # frozen from hand-checked derivations (instantiate at rank cost, one
@@ -233,10 +234,10 @@ def test_a_held_key_is_refreshed_before_an_eviction():
 
 
 def _rescan(toks, model, mirror):
-    """The scan without a move table: every token rebuilds its readings.
-    Reference for the batch path."""
-    stm = StmState(model.stm_capacity)
-    ops, total = [], 0.0
+    """The scan without a move table: every token rebuilds its readings,
+    and memory is the reference search's list.  Reference for the batch
+    path."""
+    stm, ops, total = [], [], 0.0
     for i, token in enumerate(toks):
         pair = None if i == 0 else explained_move(token - toks[i - 1], model)
         if pair is None:
@@ -244,7 +245,7 @@ def _rescan(toks, model, mirror):
         else:
             charged, free = pair
             move = free if charged.key in stm else charged
-            stm.touch(move.key)
+            stm = _remember(stm, move.key, model.stm_capacity)
         ops.extend(move.ops)
         total += move.cost
     n = len(toks)

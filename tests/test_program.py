@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brute_force import _remember
 from seqsurprise.analyzer import MoveTable, analyze, explained_move, fresh_moves
 from seqsurprise.costmodel import DEFAULT_MODEL
 from seqsurprise.program import (
@@ -55,20 +56,23 @@ def test_stm_zero_capacity_holds_nothing():
     stm = StmState(capacity=0)
     stm.touch("a")
     assert "a" not in stm
-    assert stm.slots == []
+    assert stm.slots == ()
 
 
 @given(st.integers(min_value=0, max_value=5),
        st.lists(st.sampled_from("abcdefg"), max_size=40))
 def test_touch_follows_the_stm_state_rule(capacity, keys):
-    # the scan's tuple memory and the oracle's StmState must agree slot for slot
+    # the engine's memory must agree slot for slot with the reference
+    # search's list memory, which shares no code with it
     stm = StmState(capacity)
     slots: tuple = ()
+    reference: list = []
     for key in keys:
         stm.touch(key)
         slots = touch(slots, key, capacity)
-        assert slots == tuple(stm.slots)
-        assert all((k in slots) == (k in stm) for k in "abcdefg")
+        reference = _remember(reference, key, capacity)
+        assert slots == tuple(reference) == stm.slots
+        assert all((k in slots) == (k in reference) == (k in stm) for k in "abcdefg")
 
 
 def test_readings_are_keyed_by_their_step():
