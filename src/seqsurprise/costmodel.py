@@ -24,8 +24,13 @@ _CONFIG_FLOAT_KEYS = (
 
 
 def _check_bits(value: float, name: str) -> None:
-    if math.isnan(value) or math.isinf(value) or value < 0.0:
+    if isinstance(value, bool) or math.isnan(value) or math.isinf(value) or value < 0.0:
         raise ValueError(f"{name} must be a finite nonnegative number of bits, got {value!r}")
+
+
+def _is_int(value: object) -> bool:
+    # a bool is an int to Python, but the config format cannot write one back
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -49,17 +54,17 @@ class CostModel:
     def __post_init__(self) -> None:
         for name in _CONFIG_FLOAT_KEYS:
             _check_bits(getattr(self, name), name)
-        if not isinstance(self.stm_capacity, int) or self.stm_capacity < 0:
+        if not _is_int(self.stm_capacity) or self.stm_capacity < 0:
             raise ValueError(f"stm_capacity must be a nonnegative int, got {self.stm_capacity!r}")
         if not self.allowed_increments:
             raise ValueError("allowed_increments must not be empty")
         object.__setattr__(self, "allowed_increments", frozenset(self.allowed_increments))
         for k in self.allowed_increments:
-            if not isinstance(k, int) or k < 1:
+            if not _is_int(k) or k < 1:
                 raise ValueError(f"increment steps must be positive ints, got {k!r}")
         for k, cost in self.increment_cost_overrides:
             # An override for a step the model never takes would be ignored.
-            if k not in self.allowed_increments:
+            if not _is_int(k) or k not in self.allowed_increments:
                 raise ValueError(f"increment_cost_{k} names step {k}, which is not "
                                  f"in allowed_increments {sorted(self.allowed_increments)}")
             _check_bits(cost, f"increment_cost_{k}")

@@ -62,6 +62,19 @@ def test_model_validation():
         CostModel(increment_cost_overrides=((5, 0.1),))
 
 
+def test_model_refuses_bools_where_it_means_numbers():
+    # a bool is an int to Python, but a model holding one writes a config
+    # (``stm_capacity = True``) that the parser refuses
+    for kwargs in ({"stm_capacity": True},
+                   {"allowed_increments": frozenset({True, 2})},
+                   {"increment_cost_overrides": ((True, 0.5),)},
+                   {"increment_cost_overrides": ((2, False),)},
+                   {"copy_cost": True},
+                   {"mirror_cost": False}):
+        with pytest.raises(ValueError):
+            CostModel(**kwargs)
+
+
 def test_model_is_frozen():
     with pytest.raises(AttributeError):
         DEFAULT_MODEL.copy_cost = 2.0
