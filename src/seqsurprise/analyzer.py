@@ -15,32 +15,25 @@ step apart (34) are a digit plus a dissociated step-and-copy, and
 unrelated digits (10) are both digits plus the duplication.  Digit
 readings are self-contained; they do not enter short-term memory.
 
-COPY and INCREMENT(k) occupy short-term memory once used, each under
-its step (0 for COPY, k for INCREMENT(k)): while a step is held, further
-uses are free.  Under the default capacity of 4 the three possible steps
-never compete for slots, so each is charged at most once per sequence.
+COPY and INCREMENT(k) readings use short-term memory, described at
+:func:`seqsurprise.program.touch`.  Under the default model (4 slots,
+steps 1 and 2) the three possible steps never compete for slots, so
+each is charged at most once per sequence.
 
 How a token can be read depends only on the token, on whether it opens
-the sequence and on the step from the previous token, so one
-:class:`MoveTable` per call, read by key, prices each ``(token, first)``
-pair and each step once, for this scan (and its mirror's half-scan) and
-for the exact search in :mod:`seqsurprise.oracle` alike.  The table is
-never kept for the process: :func:`price_many` builds one per batch and
-drops it with the iterator, and :func:`analyze` builds one per call.
+the sequence and on the step from the previous token.  So one
+:class:`MoveTable`, read by key, prices each ``(token, first)`` pair and
+each step once, for this scan, its mirror's half-scan and the exact
+search in :mod:`seqsurprise.oracle` alike.  :func:`analyze` builds one
+table per call and :func:`price_many` one per batch, which lives as long
+as its iterator.  The table holds a token's cheapest fresh reading as
+plain numbers (its cost, its digit path and its operation's charge),
+priced by :func:`cheapest_fresh`, and, for the exact search, every fresh
+reading as a :class:`Move`, built by :func:`fresh_moves`.
 
-The scan keeps only the cheapest fresh reading of a token, so the table
-holds that reading as plain numbers (its cost, its digit path and its
-operation's charge), priced by :func:`cheapest_fresh` without building
-a :class:`Move`; the exact search, which tries every fresh reading, reads
-them from a separate map filled by :func:`fresh_moves`.
-
-One flat scan serves both: it reads the table's maps by subscript, adds
-the costs and keeps short-term memory as a tuple of steps, updated by
-:func:`seqsurprise.program.touch`; the oracle keeps a
-:class:`~seqsurprise.program.StmState` per search node under the same
-rule.  :func:`price_many` yields costs only and builds no move for a
-fresh reading; :func:`analyze` also has the scan build the one move of
-each fresh token it keeps, collects the scan's moves and flattens them
+The scan adds costs left to right and keeps short-term memory as a tuple
+of steps.  :func:`price_many` yields costs only; :func:`analyze` also
+builds the one move of each fresh token it keeps and flattens the moves
 into a validated :class:`DescriptionProgram`.  The lottery prices
 combinations, which are checked when they are built, without checking
 them again.
