@@ -51,18 +51,14 @@ def parse_args() -> tuple[argparse.ArgumentParser, argparse.Namespace, Experimen
                              "only with --choice-model complexity_weighted")
     parser.add_argument("--out-dir", type=pathlib.Path, default=pathlib.Path("results"))
     args = parser.parse_args()
-    if args.tau is not None and args.choice_model == UNIFORM:
-        parser.error("--tau applies only with --choice-model complexity_weighted")
     if args.seeds < 1:
         parser.error(f"--seeds must be >= 1, got {args.seeds}")
     try:
-        choice = (ChoiceModel(args.choice_model) if args.tau is None
-                  else ChoiceModel(args.choice_model, args.tau))
         base = ExperimentConfig(
             seed=args.base_seed,
             n_subjects=args.subjects,
             n_choices_per_subject=args.choices,
-            choice_model=choice,
+            choice_model=ChoiceModel(args.choice_model, args.tau),
         )
     except ValueError as exc:
         parser.error(str(exc))
@@ -88,7 +84,6 @@ def main() -> None:
         "subjects": args.subjects,
         "choices_per_subject": args.choices,
         "choice_model": base.choice_model.kind,
-        "tau": base.choice_model.tau,
         "runs_where_all_subjects_avoided_simplest": n_all_avoided,
         "fraction_all_avoided": n_all_avoided / args.seeds,
         "uniform_avoidance_probability_exact": avoidance_probability(
@@ -96,6 +91,8 @@ def main() -> None:
         "total_choices": sum(histogram.values()),
         "min_chosen_bin": min(histogram) if histogram else None,
     }
+    if base.choice_model.tau is not None:
+        summary["tau"] = base.choice_model.tau
 
     hist_path = args.out_dir / "histogram.csv"
     summary_path = args.out_dir / "summary.json"

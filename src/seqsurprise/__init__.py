@@ -61,14 +61,11 @@ _HOMES = {
             "KDigitNumber",
             "MonteCarloPool",
             "SurpriseReport",
-            "algorithmic_probability",
             "expected_complexity",
             "number_surprise",
             "observed_number_complexity",
             "sequence_surprise",
             "subjective_probability",
-            "surprise_from_costs",
-            "unexpectedness",
         ),
     }.items()
     for name in names

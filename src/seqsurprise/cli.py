@@ -189,9 +189,7 @@ def cmd_surprise(args: argparse.Namespace, model: CostModel) -> int:
         if template is None:
             raise UsageError("a multi-token sequence needs an explicit --template")
         report = sequence_surprise(tokens, template, model)
-    record = report.to_json_dict()
-    del record["trace"]
-    _emit(record, args.format, report.trace if args.trace else ())
+    _emit(report.to_json_dict(), args.format, report.trace if args.trace else ())
     return 0
 
 
@@ -257,7 +255,6 @@ def cmd_lottery_bulletin(args: argparse.Namespace, model: CostModel) -> int:
 def cmd_lottery_experiment(args: argparse.Namespace, model: CostModel) -> int:
     from .lottery import (
         N_MARKED,
-        UNIFORM,
         ChoiceModel,
         ExperimentConfig,
         avoidance_probability,
@@ -271,15 +268,12 @@ def cmd_lottery_experiment(args: argparse.Namespace, model: CostModel) -> int:
             f"--mc-replications must be >= 0, got {args.mc_replications}")
     if args.mc_replications and args.format == "csv":
         raise UsageError("--mc-replications applies only with --format plain or json")
-    if args.tau is not None and args.model == UNIFORM:
-        raise UsageError("--tau applies only with --model complexity_weighted")
-    choice = ChoiceModel(args.model) if args.tau is None else ChoiceModel(args.model, args.tau)
     config = ExperimentConfig(
         seed=args.seed,
         n_subjects=args.subjects,
         n_choices_per_subject=args.choices,
         n_random=args.n_random,
-        choice_model=choice,
+        choice_model=ChoiceModel(args.model, args.tau),
     )
     result = simulate_subjects(config, model)
     table = histogram_csv(result.histogram)

@@ -163,25 +163,31 @@ N_MARKED = 2
 class ChoiceModel:
     """How a subject picks from the bulletin.
 
-    ``complexity_weighted`` refuses anything simpler than ``tau`` bits
-    (weight zero) and treats the rest as interchangeable (weight one):
-    the exponential suppression of simple combinations is total below
-    the threshold.
+    ``uniform`` gives every entry weight one and has no threshold: its
+    ``tau`` is ``None``, and it refuses one.  ``complexity_weighted``
+    refuses anything simpler than ``tau`` bits, 7 unless given (weight
+    zero), and treats the rest as interchangeable (weight one): the
+    exponential suppression of simple combinations is total below the
+    threshold.
     """
 
     kind: str = UNIFORM
-    tau: Bits = 7.0
+    tau: Bits | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in (UNIFORM, COMPLEXITY_WEIGHTED):
             raise ValueError(f"unknown choice model kind {self.kind!r}")
-        if not math.isfinite(self.tau):
+        if self.kind == UNIFORM:
+            if self.tau is not None:
+                raise ValueError(f"tau applies only to the {COMPLEXITY_WEIGHTED} choice "
+                                 f"model, got {self.tau!r} with {UNIFORM}")
+        elif self.tau is None:
+            object.__setattr__(self, "tau", 7.0)
+        elif not math.isfinite(self.tau):
             raise ValueError(f"tau must be a finite number of bits, got {self.tau!r}")
 
     def weight(self, bits: Bits) -> float:
-        if self.kind == UNIFORM:
-            return 1.0
-        return 1.0 if bits >= self.tau else 0.0
+        return 1.0 if self.tau is None or bits >= self.tau else 0.0
 
 
 @dataclass(frozen=True)
@@ -230,17 +236,20 @@ class ExperimentResult:
         return all(self.avoided_all_simplest)
 
     def to_json_dict(self) -> dict:
-        return {
+        """The record's fields; ``tau`` only for a model that has one."""
+        record = {
             "n_subjects": self.config.n_subjects,
             "n_choices_per_subject": self.config.n_choices_per_subject,
             "seed": self.config.seed,
             "choice_model": self.config.choice_model.kind,
-            "tau": self.config.choice_model.tau,
             "histogram": {str(b): c for b, c in sorted(self.histogram.items())},
             "all_subjects_avoided_simplest": self.all_subjects_avoided,
             "n_subjects_avoiding_simplest": sum(self.avoided_all_simplest),
             "uniform_fallback": self.uniform_fallback,
         }
+        if self.config.choice_model.tau is not None:
+            record["tau"] = self.config.choice_model.tau
+        return record
 
 
 def histogram_csv(histogram: dict[int, int]) -> str:

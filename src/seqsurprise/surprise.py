@@ -8,6 +8,11 @@ fills k digits independently from ten possibilities; an observed number
 with internal repetition needs fewer independent digit choices, and the
 gap is the surprise.
 
+A :class:`SurpriseReport` holds the two costs and derives U and p from
+them when it is built, so a report cannot carry figures that contradict
+its costs; :func:`number_surprise` and :func:`sequence_surprise` price
+both sides and build one.
+
 A :class:`MonteCarloPool` samples from the same seeded PCG64 stream as the
 lottery's draws, built in :mod:`seqsurprise._streams`.
 """
@@ -100,11 +105,6 @@ def expected_complexity(template: ExpectationTemplate,
     raise TypeError(f"unknown expectation template {template!r}")
 
 
-def unexpectedness(c_expected: Bits, c_observed: Bits) -> Bits:
-    """U = c_expected - c_observed; may be negative for clumsy outcomes."""
-    return c_expected - c_observed
-
-
 def subjective_probability(u: Bits) -> float:
     """p = 2**-U.  Values above 1 (negative U) are reported as computed;
     a ``p`` past the largest float raises ``ValueError``."""
@@ -115,13 +115,6 @@ def subjective_probability(u: Bits) -> float:
     if not math.isfinite(p):
         raise ValueError(f"subjective probability 2**{-u!r} is not a finite float")
     return p
-
-
-def algorithmic_probability(c_bits: Bits) -> float:
-    """Probability weight 2**-C of a structure of complexity C bits."""
-    if c_bits < 0.0:
-        raise ValueError(f"complexity must be >= 0 bits, got {c_bits}")
-    return 2.0 ** (-c_bits)
 
 
 def observed_number_complexity(n: int, model: CostModel = DEFAULT_MODEL
@@ -163,11 +156,21 @@ def observed_number_complexity(n: int, model: CostModel = DEFAULT_MODEL
 
 @dataclass(frozen=True)
 class SurpriseReport:
+    """Costs of the expected and the observed description, and what follows
+    from them when the report is built: U = c_expected - c_observed, which
+    is negative for an outcome clumsier than expected, and
+    p = subjective_probability(U)."""
+
     c_expected: Bits
     c_observed: Bits
-    u: Bits
-    p: float
-    trace: tuple[str, ...] = field(default=())
+    trace: tuple[str, ...] = ()
+    u: Bits = field(init=False)
+    p: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        u = self.c_expected - self.c_observed
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "p", subjective_probability(u))
 
     @property
     def p_exceeds_one(self) -> bool:
@@ -180,15 +183,7 @@ class SurpriseReport:
             "u": self.u,
             "p": self.p,
             "p_exceeds_one": self.p_exceeds_one,
-            "trace": list(self.trace),
         }
-
-
-def surprise_from_costs(c_expected: Bits, c_observed: Bits,
-                        trace: Sequence[str] = ()) -> SurpriseReport:
-    u = unexpectedness(c_expected, c_observed)
-    return SurpriseReport(c_expected, c_observed, u, subjective_probability(u),
-                          tuple(trace))
 
 
 def number_surprise(n: int, template: ExpectationTemplate | None = None,
@@ -200,13 +195,12 @@ def number_surprise(n: int, template: ExpectationTemplate | None = None,
     c_obs, trace = observed_number_complexity(n, model)
     if template is None:
         template = KDigitNumber(len(str(n)))
-    c_exp = expected_complexity(template, model)
-    return surprise_from_costs(c_exp, c_obs, trace)
+    return SurpriseReport(expected_complexity(template, model), c_obs, trace)
 
 
 def sequence_surprise(seq: Sequence[int], template: ExpectationTemplate,
                       model: CostModel = DEFAULT_MODEL) -> SurpriseReport:
     """Surprise of a token sequence against an explicit expectation."""
     prog = analyze(seq, model)
-    return surprise_from_costs(expected_complexity(template, model),
-                               prog.total_cost, prog.trace_lines())
+    return SurpriseReport(expected_complexity(template, model), prog.total_cost,
+                          tuple(prog.trace_lines()))

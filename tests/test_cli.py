@@ -525,7 +525,7 @@ def _corpus():
 
 # SHA-256 over the corpus: argv, exit status, stdout, stderr and every file
 # the command wrote, with the temporary directory masked.
-CORPUS_DIGEST = "6b2b01a28714cc9e3bc9c27e459f6fccf57fc9717bfc08215a857c7999c15819"
+CORPUS_DIGEST = "de0f75c5b2ba5e83e7cd227543957725fb3782b7b0ee24862e215e28eb8f3317"
 
 
 def test_cli_bytes_are_pinned(tmp_path, monkeypatch, capsys):

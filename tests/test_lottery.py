@@ -168,6 +168,19 @@ def test_choice_model_weights():
         ChoiceModel(kind="greedy")
 
 
+def test_only_the_weighted_choice_model_has_a_threshold():
+    assert ChoiceModel().tau is None
+    assert ChoiceModel(kind=COMPLEXITY_WEIGHTED).tau == 7.0
+    with pytest.raises(ValueError, match="tau applies only to the complexity_weighted"):
+        ChoiceModel(kind=UNIFORM, tau=7.0)
+    # a uniform record has no threshold to report
+    uniform = simulate_subjects(ExperimentConfig(seed=1, n_subjects=2)).to_json_dict()
+    assert "tau" not in uniform
+    weighted = simulate_subjects(ExperimentConfig(
+        seed=1, n_subjects=2, choice_model=ChoiceModel(COMPLEXITY_WEIGHTED))).to_json_dict()
+    assert weighted["tau"] == 7.0
+
+
 @settings(max_examples=20)
 @given(st.integers(min_value=0, max_value=10_000),
        st.integers(min_value=0, max_value=12))
@@ -280,7 +293,7 @@ def _digest(obj):
 
 
 # Digests of every pick, its cost in bits, the histogram and the fallback
-# flag for 200 subjects (tau 7).  They pin the per-subject streams: the
+# flag for 200 subjects (the weighted model at its default tau, 7).  They pin the per-subject streams: the
 # order in which bulletins are drawn and priced must never change a pick.
 # The streams come from numpy's PCG64 Generator.
 EXPERIMENT_DIGESTS = {
@@ -296,8 +309,7 @@ RANK_DIGEST = "dccc99eccb24c747cc73cef78fc5b72a2bbe153e4071a4c773648c9797bb31dd"
 
 @pytest.mark.parametrize("seed,kind", sorted(EXPERIMENT_DIGESTS))
 def test_experiment_outcome_is_pinned(seed, kind):
-    config = ExperimentConfig(seed=seed, n_subjects=200,
-                              choice_model=ChoiceModel(kind=kind, tau=7.0))
+    config = ExperimentConfig(seed=seed, n_subjects=200, choice_model=ChoiceModel(kind=kind))
     result = simulate_subjects(config)
     assert _digest((result.per_subject_choices, result.per_subject_chosen_bits,
                     sorted(result.histogram.items()),
@@ -524,11 +536,12 @@ EXPERIMENT_SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "scripts" /
 
 
 # SHA-256 of (summary.json, histogram.csv) per argv, recorded before the
-# script read the bulletin size, the marked count and the table from lottery.
+# script read the bulletin size, the marked count and the table from lottery;
+# the uniform summary re-recorded once it no longer wrote a tau.
 SCRIPT_OUTPUT_DIGESTS = {
     "uniform": (
         ["--seeds", "3"],
-        "a9ff5a6e19e7080f54fcb32fd197f039ffde84324ab84feb8230c9dcc8c27a0a",
+        "b14073cdd4f5687054e72e3b33343cf843239d2a5ce26ee0ab81cc6b964de763",
         "97fbedd68dfd20e0f6f0ad9bac35328d31c5521c60e887afc0e9590ba4ce8614"),
     "weighted": (
         ["--seeds", "3", "--choice-model", "complexity_weighted", "--tau", "7"],
@@ -607,7 +620,7 @@ def test_experiment_script_writes_both_files_or_neither(blocked, tmp_path):
 
 def test_experiment_script_refuses_tau_without_the_weighted_model(tmp_path):
     assert _script_usage_error(tmp_path, "--seeds", "1", "--tau", "5") == (
-        "--tau applies only with --choice-model complexity_weighted")
+        "tau applies only to the complexity_weighted choice model, got 5.0 with uniform")
 
 
 @pytest.mark.parametrize("argv,error", [

@@ -4,20 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqsurprise.analyzer import analyze
 from seqsurprise.costmodel import CostModel
 from seqsurprise.surprise import (
     FixedBits,
     KDigitNumber,
     MonteCarloPool,
-    algorithmic_probability,
+    SurpriseReport,
     expected_complexity,
     number_surprise,
     observed_number_complexity,
     sequence_surprise,
     subjective_probability,
-    surprise_from_costs,
-    unexpectedness,
 )
 
 LOG2_10 = math.log2(10)
@@ -85,9 +82,20 @@ def test_monte_carlo_pool_reproducible_and_plausible():
 
 
 def test_unexpectedness_basics():
-    assert unexpectedness(3.0, 3.0) == 0.0
-    assert unexpectedness(3.0, 5.0) == -2.0
-    assert unexpectedness(1 + 5 * LOG2_10, 1 + LOG2_10) == pytest.approx(4 * LOG2_10)
+    assert SurpriseReport(3.0, 3.0).u == 0.0
+    assert SurpriseReport(3.0, 5.0).u == -2.0
+    assert SurpriseReport(1 + 5 * LOG2_10, 1 + LOG2_10).u == pytest.approx(4 * LOG2_10)
+
+
+def test_report_derives_u_and_p_from_its_costs():
+    # u and p are not arguments, so a report cannot contradict its costs
+    with pytest.raises(TypeError):
+        SurpriseReport(1.0, 2.0, 5.0, 0.3)
+    with pytest.raises(TypeError):
+        SurpriseReport(1.0, 2.0, u=5.0)
+    # a p past the largest float is refused where the report is formed
+    with pytest.raises(ValueError, match="subjective probability 2\\*\\*1100.0 is not a finite"):
+        SurpriseReport(0.0, 1100.0)
 
 
 def test_subjective_probability_values():
@@ -105,17 +113,6 @@ def test_subjective_probability_strictly_decreasing(u, du):
 def test_subjective_probability_product_law(a, b):
     assert subjective_probability(a + b) == pytest.approx(
         subjective_probability(a) * subjective_probability(b), rel=1e-9)
-
-
-def test_algorithmic_probability():
-    assert algorithmic_probability(0.0) == 1.0
-    assert algorithmic_probability(10.0) == 2.0**-10
-    with pytest.raises(ValueError):
-        algorithmic_probability(-0.1)
-    # a very repetitive sequence is highly probable under this weighting,
-    # the opposite of what perceived likelihood demands
-    c = analyze([3, 3, 3, 3, 3]).total_cost
-    assert algorithmic_probability(c) == pytest.approx(0.125)
 
 
 def test_observed_number_complexity_values():
@@ -184,18 +181,18 @@ def test_number_surprise_explicit_template():
 
 
 def test_report_flags_p_above_one():
-    report = surprise_from_costs(c_expected=2.0, c_observed=5.0)
+    report = SurpriseReport(c_expected=2.0, c_observed=5.0)
     assert report.u == -3.0
     assert report.p == 8.0
     assert report.p_exceeds_one
 
 
 def test_report_json_keys():
-    report = surprise_from_costs(3.0, 1.0, trace=("line",))
+    report = SurpriseReport(3.0, 1.0, trace=("line",))
     obj = report.to_json_dict()
-    assert set(obj) == {"c_exp", "c_obs", "u", "p", "p_exceeds_one", "trace"}
+    assert set(obj) == {"c_exp", "c_obs", "u", "p", "p_exceeds_one"}
     assert obj["c_exp"] == 3.0 and obj["c_obs"] == 1.0
-    assert obj["trace"] == ["line"]
+    assert report.trace == ("line",)
 
 
 def test_sequence_surprise_uses_analyzer():
@@ -210,8 +207,20 @@ def test_sequence_surprise_uses_analyzer():
        st.floats(min_value=0, max_value=40),
        st.floats(min_value=0.01, max_value=5))
 def test_simpler_observation_is_less_probable(c_exp, c_obs, drop):
-    base = surprise_from_costs(c_exp, c_obs)
-    simpler = surprise_from_costs(c_exp, max(c_obs - drop, 0.0))
+    base = SurpriseReport(c_exp, c_obs)
+    simpler = SurpriseReport(c_exp, max(c_obs - drop, 0.0))
     if c_obs > 0:
         assert simpler.u > base.u or c_obs - drop < 0
         assert simpler.p <= base.p
+
+
+@settings(max_examples=100)
+@given(st.integers(min_value=0, max_value=10**12),
+       st.lists(st.integers(min_value=0, max_value=60), min_size=1, max_size=8),
+       st.one_of(st.integers(min_value=1, max_value=40).map(KDigitNumber),
+                 st.floats(min_value=0, max_value=200).map(FixedBits)))
+def test_reports_follow_from_their_costs(n, seq, template):
+    for report in (number_surprise(n), number_surprise(n, template),
+                   sequence_surprise(seq, template)):
+        assert report.u.hex() == (report.c_expected - report.c_observed).hex()
+        assert report.p == subjective_probability(report.u)
