@@ -9,12 +9,15 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from .costmodel import _check_int
+
 if TYPE_CHECKING:
     import numpy as np
 
 
 def check_seed(seed: int) -> None:
     # numpy's SeedSequence rejects a negative entropy without naming it
+    _check_int(seed, "seed")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
 

@@ -47,7 +47,7 @@ from functools import cached_property
 from math import isfinite
 from operator import itemgetter
 
-from .costmodel import Bits, CostModel, DEFAULT_MODEL, number_complexity
+from .costmodel import Bits, CostModel, DEFAULT_MODEL, _is_int, number_complexity
 from .program import DescriptionProgram, Operation, OpKind, touch
 
 # Digit reading names, in tie-break order.
@@ -61,7 +61,7 @@ def check_sequence(seq: Sequence[int]) -> tuple[int, ...]:
     if not toks:
         raise ValueError("sequence must contain at least one token")
     for t in toks:
-        if not isinstance(t, int) or isinstance(t, bool) or t < 0:
+        if not _is_int(t) or t < 0:
             raise ValueError(f"tokens must be nonnegative integers, got {t!r}")
     return toks
 

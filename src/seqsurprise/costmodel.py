@@ -33,6 +33,11 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_int(value: object, name: str) -> None:
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CostModel:
     """Bit charges for the description operators.

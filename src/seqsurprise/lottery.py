@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 from ._streams import check_seed, generator
 from .analyzer import _price_valid, check_sequence
-from .costmodel import Bits, CostModel, DEFAULT_MODEL
+from .costmodel import Bits, CostModel, DEFAULT_MODEL, _check_int
 
 # Only the functions that draw random numbers import numpy, so that
 # commands which only price tickets start without loading it.
@@ -183,7 +183,7 @@ class ChoiceModel:
                                  f"model, got {self.tau!r} with {UNIFORM}")
         elif self.tau is None:
             object.__setattr__(self, "tau", 7.0)
-        elif not math.isfinite(self.tau):
+        elif isinstance(self.tau, bool) or not math.isfinite(self.tau):
             raise ValueError(f"tau must be a finite number of bits, got {self.tau!r}")
 
     def weight(self, bits: Bits) -> float:
@@ -200,6 +200,8 @@ class ExperimentConfig:
     choice_model: ChoiceModel = ChoiceModel()
 
     def __post_init__(self) -> None:
+        for name in ("n_random", "n_choices_per_subject", "n_subjects"):
+            _check_int(getattr(self, name), name)
         if self.n_random < 0 or self.n_choices_per_subject < 0 or self.n_subjects < 0:
             raise ValueError("experiment sizes must be nonnegative")
         check_seed(self.seed)
@@ -352,6 +354,9 @@ def simulate_subjects(config: ExperimentConfig,
 
 def _check_avoidance_args(n_total: int, n_choices: int, n_avoided: int,
                           n_subjects: int) -> None:
+    for name, value in zip(("n_total", "n_choices", "n_avoided", "n_subjects"),
+                           (n_total, n_choices, n_avoided, n_subjects)):
+        _check_int(value, name)
     if min(n_total, n_choices, n_avoided, n_subjects) < 0:
         raise ValueError("all arguments must be nonnegative")
     # Choosing and avoiding may overlap: then no pick misses, and the chance is 0.
@@ -391,6 +396,7 @@ def avoidance_probability_mc(n_total: int, n_choices: int, n_avoided: int,
     replication without subjects counts, is still ``n_avoided``.  With
     no picks every replication counts.
     """
+    _check_int(n_replications, "n_replications")
     if n_replications < 1:
         raise ValueError("n_replications must be >= 1")
     check_seed(seed)

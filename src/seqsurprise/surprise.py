@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 
 from ._streams import check_seed, generator
 from .analyzer import analyze, price_many
-from .costmodel import Bits, CostModel, DEFAULT_MODEL
+from .costmodel import Bits, CostModel, DEFAULT_MODEL, _check_int
 
 if TYPE_CHECKING:
     import numpy as np
@@ -41,6 +41,7 @@ class KDigitNumber:
     k: int
 
     def __post_init__(self) -> None:
+        _check_int(self.k, "k")
         if self.k < 1:
             raise ValueError(f"a k-digit template needs k >= 1, got {self.k}")
         # int * float converts k first, which overflows past about 1.8e308
@@ -60,7 +61,7 @@ class FixedBits:
     value: Bits
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.value) or self.value < 0.0:
+        if isinstance(self.value, bool) or not math.isfinite(self.value) or self.value < 0.0:
             raise ValueError(f"expected bits must be finite and >= 0, got {self.value!r}")
 
 
@@ -73,6 +74,7 @@ class MonteCarloPool:
     seed: int
 
     def __post_init__(self) -> None:
+        _check_int(self.n_samples, "n_samples")
         if self.n_samples < 1:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
         check_seed(self.seed)
@@ -129,6 +131,7 @@ def observed_number_complexity(n: int, model: CostModel = DEFAULT_MODEL
     a nine costs exactly that and carries no surprise (U = 0).  A total
     past the largest float raises ``ValueError``.
     """
+    _check_int(n, "n")
     if n < 0:
         raise ValueError(f"expected a nonnegative number, got {n}")
     digits = [int(ch) for ch in str(n)]

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from conftest import cost_models
 from seqsurprise import analyzer, lottery
-from seqsurprise.analyzer import analyze
+from seqsurprise._streams import check_seed
+from seqsurprise.analyzer import analyze, check_sequence
 from seqsurprise.lottery import (
     _MC_CHUNK,
     COMPLEXITY_WEIGHTED,
@@ -33,6 +34,13 @@ from seqsurprise.lottery import (
     rank_combinations,
     reference_rank_report,
     simulate_subjects,
+)
+from seqsurprise.surprise import (
+    FixedBits,
+    KDigitNumber,
+    MonteCarloPool,
+    number_surprise,
+    observed_number_complexity,
 )
 
 EXACT_AVOIDANCE = float(Fraction(66, 91) ** 26)
@@ -155,6 +163,45 @@ def test_experiment_config_validation():
         ExperimentConfig(fixed_combinations=(), n_random=tickets + 1)
     with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
         ExperimentConfig(seed=-1)
+
+
+# A bool is an int to Python, and a float may hold a whole number, but
+# neither is a count: each is refused when it is given, naming the argument.
+COUNT_REFUSALS = {
+    "config-seed-bool": (lambda: ExperimentConfig(seed=True), "seed"),
+    "config-seed-float": (lambda: ExperimentConfig(seed=1.5), "seed"),
+    "config-subjects-bool": (lambda: ExperimentConfig(n_subjects=True), "n_subjects"),
+    "config-subjects-float": (lambda: ExperimentConfig(n_subjects=2.5), "n_subjects"),
+    "config-random-float": (lambda: ExperimentConfig(n_random=4.0), "n_random"),
+    "config-choices-bool": (lambda: ExperimentConfig(n_choices_per_subject=False),
+                            "n_choices_per_subject"),
+    "tau-bool": (lambda: ChoiceModel(COMPLEXITY_WEIGHTED, True), "tau"),
+    "check-seed-bool": (lambda: check_seed(True), "seed"),
+    "kdigit-float": (lambda: KDigitNumber(2.5), "k"),
+    "kdigit-bool": (lambda: KDigitNumber(True), "k"),
+    "fixed-bits-bool": (lambda: FixedBits(True), "expected bits"),
+    "pool-samples-bool": (lambda: MonteCarloPool(lambda rng: [1], n_samples=True, seed=1),
+                          "n_samples"),
+    "pool-seed-bool": (lambda: MonteCarloPool(lambda rng: [1], n_samples=1, seed=False),
+                       "seed"),
+    "avoidance-total-float": (lambda: avoidance_probability(14.0, 2, 2, 26), "n_total"),
+    "avoidance-choices-bool": (lambda: avoidance_probability(14, True, 2, 26), "n_choices"),
+    "avoidance-avoided-float": (lambda: avoidance_probability(14, 2, 2.0, 26), "n_avoided"),
+    "avoidance-subjects-bool": (lambda: avoidance_probability(14, 2, 2, True), "n_subjects"),
+    "mc-replications-float": (lambda: avoidance_probability_mc(
+        14, 2, 2, 26, n_replications=10.0, seed=1), "n_replications"),
+    "mc-seed-float": (lambda: avoidance_probability_mc(
+        14, 2, 2, 26, n_replications=10, seed=1.0), "seed"),
+    "observed-number-bool": (lambda: observed_number_complexity(True), "n"),
+    "number-surprise-bool": (lambda: number_surprise(True), "n"),
+    "token-bool": (lambda: check_sequence([1, True]), "tokens"),
+}
+
+
+@pytest.mark.parametrize("call,name", COUNT_REFUSALS.values(), ids=COUNT_REFUSALS)
+def test_counts_refuse_bools_and_non_integers(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        call()
 
 
 def test_choice_model_weights():
@@ -309,7 +356,8 @@ RANK_DIGEST = "dccc99eccb24c747cc73cef78fc5b72a2bbe153e4071a4c773648c9797bb31dd"
 
 @pytest.mark.parametrize("seed,kind", sorted(EXPERIMENT_DIGESTS))
 def test_experiment_outcome_is_pinned(seed, kind):
-    config = ExperimentConfig(seed=seed, n_subjects=200, choice_model=ChoiceModel(kind=kind))
+    config = ExperimentConfig(seed=seed, n_subjects=200,
+                              choice_model=ChoiceModel(kind=kind))
     result = simulate_subjects(config)
     assert _digest((result.per_subject_choices, result.per_subject_chosen_bits,
                     sorted(result.histogram.items()),
