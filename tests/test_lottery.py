@@ -213,14 +213,14 @@ def test_choice_model_weights():
     assert gated.weight(30.0) == 1.0
     with pytest.raises(ValueError):
         ChoiceModel(kind="greedy")
-
-
-def test_only_the_weighted_choice_model_has_a_threshold():
-    assert ChoiceModel().tau is None
+    # only the weighted model has a threshold
+    assert uniform.tau is None
     assert ChoiceModel(kind=COMPLEXITY_WEIGHTED).tau == 7.0
     with pytest.raises(ValueError, match="tau applies only to the complexity_weighted"):
         ChoiceModel(kind=UNIFORM, tau=7.0)
-    # a uniform record has no threshold to report
+
+
+def test_a_uniform_record_has_no_tau():
     uniform = simulate_subjects(ExperimentConfig(seed=1, n_subjects=2)).to_json_dict()
     assert "tau" not in uniform
     weighted = simulate_subjects(ExperimentConfig(
