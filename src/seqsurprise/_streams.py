@@ -17,9 +17,7 @@ if TYPE_CHECKING:
 
 def check_seed(seed: int) -> None:
     # numpy's SeedSequence rejects a negative entropy without naming it
-    _check_int(seed, "seed")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    _check_int(seed, "seed", 0)
 
 
 def generator(seed: int, *spawn_key: int) -> np.random.Generator:

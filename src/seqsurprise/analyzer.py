@@ -37,6 +37,11 @@ builds the one move of each fresh token it keeps and flattens the moves
 into a validated :class:`DescriptionProgram`.  The lottery prices
 combinations, which are checked when they are built, without checking
 them again.
+
+:func:`check_sequence` checks each token here, in its own loop, since it
+runs once per priced sequence.  Every settled cost, and
+:func:`derive_10_to_70`'s charge, passes :func:`seqsurprise.costmodel._finite`,
+so a cost past the largest float raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -44,10 +49,9 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from math import isfinite
 from operator import itemgetter
 
-from .costmodel import Bits, CostModel, DEFAULT_MODEL, _is_int, number_complexity
+from .costmodel import Bits, CostModel, DEFAULT_MODEL, _finite, _is_int, number_complexity
 from .program import DescriptionProgram, Operation, OpKind, touch
 
 # Digit reading names, in tie-break order.
@@ -262,18 +266,6 @@ def _describe(toks: tuple[int, ...], table: MoveTable,
     return total, moves
 
 
-def _finite(total: Bits) -> Bits:
-    """A sequence's settled cost, which must be a finite float.
-
-    Checked once the mirror reading has had its chance: a plain scan that
-    overflows can still lose to a finite mirror reading.
-    """
-    if not isfinite(total):
-        raise ValueError("description cost is not a finite float: the cost "
-                         "model's charges sum past the largest float")
-    return total
-
-
 def _price_valid(toks_iter: Iterable[tuple[int, ...]],
                  model: CostModel) -> Iterator[Bits]:
     """:func:`price_many` over token tuples that have already passed
@@ -306,6 +298,7 @@ def analyze(seq: Sequence[int], model: CostModel = DEFAULT_MODEL, *,
     toks = check_sequence(seq)
     total, moves = _describe(toks, MoveTable(model), enable_mirror)
     ops = [op for move in moves for op in move.ops]
+    # checked only now: a plain scan past the largest float can lose to a finite mirror
     return DescriptionProgram(tuple(ops), _finite(total), toks)
 
 
@@ -332,7 +325,7 @@ def derive_10_to_70(model: CostModel = DEFAULT_MODEL) -> DescriptionProgram:
         raise ValueError("the round-tens account needs the +1 step, which "
                          f"allowed_increments {sorted(model.allowed_increments)} lacks")
     digits = dict(split_readings(10, model))[PATH_DIGITS]
-    charge = model.copy_cost + digits + model.dup_cost + plus_one[0].cost
+    charge = _finite(model.copy_cost + digits + model.dup_cost + plus_one[0].cost)
     ops: list[Operation] = [Operation(OpKind.SPLIT_DIGITS, (10, PATH_DIGITS), charge)]
     tokens = [10]
     for value in range(20, 71, 10):

@@ -11,6 +11,14 @@ limit (exhaustive search on sequences longer than the supported size or
 deeper than the recursion limit), 1 internal failure or a failed
 consistency check.  Run as a program (``entrypoint``), a stdout closed
 by its reader ends the process by SIGPIPE, shell status 141.
+
+This module checks only what the library does not take: the syntax of
+tokens, templates and files, which options go together, and
+``--mc-replications``, whose 0 means no estimate.  The library
+checks each number it takes and each result it returns, by the rules in
+:mod:`seqsurprise.costmodel`, and :func:`main` prints its ``ValueError``
+and exits 2; :func:`seqsurprise.oracle.oracle_min_cost` states its own
+recursion limit, and ``main`` prints that ``RecursionError`` and exits 3.
 """
 
 from __future__ import annotations
@@ -130,12 +138,7 @@ def _exact_search(tokens: list[int], model: CostModel,
             f"exhaustive search supports at most {SOFT_LENGTH_LIMIT} tokens "
             f"(got {len(tokens)}); pass --allow-long to override")
     operators = FULL_OPERATORS if args.mirror else DEFAULT_OPERATORS
-    try:
-        return oracle_min_cost(tokens, model, SearchBudget(operators=operators))
-    except RecursionError:
-        raise CapabilityError(
-            f"exhaustive search of {len(tokens)} tokens is deeper than "
-            f"the recursion limit ({sys.getrecursionlimit()})") from None
+    return oracle_min_cost(tokens, model, SearchBudget(operators=operators))
 
 
 def _read_file(path: str, what: str = "") -> str:
@@ -398,7 +401,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         model = _load_model(args)
         return args.func(args, model)
-    except CapabilityError as exc:
+    except (CapabilityError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

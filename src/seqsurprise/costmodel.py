@@ -4,6 +4,13 @@ Everything is measured in bits.  A number is charged by its rank,
 C_n = log2(n + 1), so small numbers are cheap and the scale is free of
 units.  Structure operators (copy, increment, digit duplication, mirror,
 segment starts) carry flat charges collected in :class:`CostModel`.
+
+This module also holds the three number rules the package checks by, each
+raising ``ValueError`` with a message that names what it checked:
+``_check_bits`` for a bit value the library takes (a charge, a fixed
+expectation, a threshold), ``_check_int`` for a count and its lower bound
+(a capacity, a step, a seed, a size), and ``_finite`` for a cost or
+probability the library returns.
 """
 
 from __future__ import annotations
@@ -23,9 +30,16 @@ _CONFIG_FLOAT_KEYS = (
 )
 
 
-def _check_bits(value: float, name: str) -> None:
-    if isinstance(value, bool) or math.isnan(value) or math.isinf(value) or value < 0.0:
-        raise ValueError(f"{name} must be a finite nonnegative number of bits, got {value!r}")
+def _check_bits(value: object, name: str) -> None:
+    """A bit value: a finite nonnegative real number, and not a bool."""
+    try:
+        finite = not isinstance(value, bool) and math.isfinite(value)
+    except TypeError:  # a str, None or anything else with no float value
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} must be a finite number of bits, got {value!r}")
+    if value < 0.0:
+        raise ValueError(f"{name} must be nonnegative, got {value!r}")
 
 
 def _is_int(value: object) -> bool:
@@ -33,9 +47,20 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _check_int(value: object, name: str) -> None:
+def _check_int(value: object, name: str, minimum: int) -> None:
+    """A count: an int, not a bool, of at least ``minimum``."""
     if not _is_int(value):
         raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < minimum:
+        bound = "nonnegative" if minimum == 0 else f">= {minimum}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+
+
+def _finite(value: float, what: str = "description cost") -> float:
+    """A computed result, which must be a finite float; returned unchanged."""
+    if not math.isfinite(value):
+        raise ValueError(f"{what} is not a finite float, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -59,14 +84,12 @@ class CostModel:
     def __post_init__(self) -> None:
         for name in _CONFIG_FLOAT_KEYS:
             _check_bits(getattr(self, name), name)
-        if not _is_int(self.stm_capacity) or self.stm_capacity < 0:
-            raise ValueError(f"stm_capacity must be a nonnegative int, got {self.stm_capacity!r}")
+        _check_int(self.stm_capacity, "stm_capacity", 0)
         if not self.allowed_increments:
             raise ValueError("allowed_increments must not be empty")
         object.__setattr__(self, "allowed_increments", frozenset(self.allowed_increments))
         for k in self.allowed_increments:
-            if not _is_int(k) or k < 1:
-                raise ValueError(f"increment steps must be positive ints, got {k!r}")
+            _check_int(k, "increment step", 1)
         for k, cost in self.increment_cost_overrides:
             # An override for a step the model never takes would be ignored.
             if not _is_int(k) or k not in self.allowed_increments:

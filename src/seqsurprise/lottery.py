@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 from ._streams import check_seed, generator
 from .analyzer import _price_valid, check_sequence
-from .costmodel import Bits, CostModel, DEFAULT_MODEL, _check_int
+from .costmodel import Bits, CostModel, DEFAULT_MODEL, _check_bits, _check_int
 
 # Only the functions that draw random numbers import numpy, so that
 # commands which only price tickets start without loading it.
@@ -183,8 +183,8 @@ class ChoiceModel:
                                  f"model, got {self.tau!r} with {UNIFORM}")
         elif self.tau is None:
             object.__setattr__(self, "tau", 7.0)
-        elif isinstance(self.tau, bool) or not math.isfinite(self.tau):
-            raise ValueError(f"tau must be a finite number of bits, got {self.tau!r}")
+        else:
+            _check_bits(self.tau, "tau")
 
     def weight(self, bits: Bits) -> float:
         return 1.0 if self.tau is None or bits >= self.tau else 0.0
@@ -201,10 +201,13 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         for name in ("n_random", "n_choices_per_subject", "n_subjects"):
-            _check_int(getattr(self, name), name)
-        if self.n_random < 0 or self.n_choices_per_subject < 0 or self.n_subjects < 0:
-            raise ValueError("experiment sizes must be nonnegative")
+            _check_int(getattr(self, name), name, 0)
         check_seed(self.seed)
+        if not isinstance(self.choice_model, ChoiceModel):
+            raise ValueError(f"choice_model must be a ChoiceModel, got {self.choice_model!r}")
+        for combo in self.fixed_combinations:
+            if not isinstance(combo, LotteryCombination):
+                raise ValueError(f"fixed_combinations must be LotteryCombinations, got {combo!r}")
         if len({combo.numbers for combo in self.fixed_combinations}) != len(
                 self.fixed_combinations):
             raise ValueError("fixed combinations must be distinct")
@@ -356,9 +359,7 @@ def _check_avoidance_args(n_total: int, n_choices: int, n_avoided: int,
                           n_subjects: int) -> None:
     for name, value in zip(("n_total", "n_choices", "n_avoided", "n_subjects"),
                            (n_total, n_choices, n_avoided, n_subjects)):
-        _check_int(value, name)
-    if min(n_total, n_choices, n_avoided, n_subjects) < 0:
-        raise ValueError("all arguments must be nonnegative")
+        _check_int(value, name, 0)
     # Choosing and avoiding may overlap: then no pick misses, and the chance is 0.
     if max(n_choices, n_avoided) > n_total:
         raise ValueError(
@@ -396,9 +397,7 @@ def avoidance_probability_mc(n_total: int, n_choices: int, n_avoided: int,
     replication without subjects counts, is still ``n_avoided``.  With
     no picks every replication counts.
     """
-    _check_int(n_replications, "n_replications")
-    if n_replications < 1:
-        raise ValueError("n_replications must be >= 1")
+    _check_int(n_replications, "n_replications", 1)
     check_seed(seed)
     _check_avoidance_args(n_total, n_choices, n_avoided, n_subjects)
     if n_choices == 0:

@@ -18,9 +18,10 @@ mirrored, and its fresh moves from the table's ``fresh`` map, built by
 length, so past ``SOFT_LENGTH_LIMIT`` the command line interface needs
 ``--allow-long`` (or exits 3).  The search recurses once per emitted
 token, so a sequence longer than Python's recursion limit raises
-``RecursionError``; the command line interface reports that as a
-capability limit too.  A minimum that is not a finite float raises
-``ValueError``, as the analyzer's costs do.
+``RecursionError``; :func:`oracle_min_cost` states that limit, in the
+message the command line interface prints before it exits 3.  The
+minimum passes :func:`seqsurprise.costmodel._finite`, as the analyzer's
+costs do, so one that is not a finite float raises ``ValueError``.
 
 Ties are broken toward the lexicographically smallest operation stream:
 candidates are expanded in canonical order (copy, increment by rising
@@ -37,11 +38,12 @@ program itself is always a candidate, so the minimum never exceeds
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .analyzer import Move, MoveTable, _finite, check_sequence
-from .costmodel import Bits, CostModel, DEFAULT_MODEL
+from .analyzer import Move, MoveTable, check_sequence
+from .costmodel import Bits, CostModel, DEFAULT_MODEL, _finite
 from .program import DescriptionProgram, Operation, OpKind, StmState
 
 SOFT_LENGTH_LIMIT = 8
@@ -114,5 +116,9 @@ def oracle_min_cost(seq: Sequence[int], model: CostModel = DEFAULT_MODEL,
             search(pos + emitted, acc + move.cost, child, ops)
             del ops[len(ops) - len(move.ops):]
 
-    search(0, 0.0, StmState(model.stm_capacity), [])
+    try:
+        search(0, 0.0, StmState(model.stm_capacity), [])
+    except RecursionError:
+        raise RecursionError(f"exhaustive search of {len(toks)} tokens is deeper than "
+                             f"the recursion limit ({sys.getrecursionlimit()})") from None
     return _finite(best_cost), DescriptionProgram(best_ops, best_cost, toks)

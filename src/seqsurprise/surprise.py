@@ -15,6 +15,10 @@ both sides and build one.
 
 A :class:`MonteCarloPool` samples from the same seeded PCG64 stream as the
 lottery's draws, built in :mod:`seqsurprise._streams`.
+
+Templates check their fields, and every cost and probability here is
+checked when it is formed, by :mod:`seqsurprise.costmodel`'s number
+rules, so a value past the largest float raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import TYPE_CHECKING
 
 from ._streams import check_seed, generator
 from .analyzer import analyze, price_many
-from .costmodel import Bits, CostModel, DEFAULT_MODEL, _check_int
+from .costmodel import Bits, CostModel, DEFAULT_MODEL, _check_bits, _check_int, _finite
 
 if TYPE_CHECKING:
     import numpy as np
@@ -41,17 +45,13 @@ class KDigitNumber:
     k: int
 
     def __post_init__(self) -> None:
-        _check_int(self.k, "k")
-        if self.k < 1:
-            raise ValueError(f"a k-digit template needs k >= 1, got {self.k}")
+        _check_int(self.k, "k", 1)
         # int * float converts k first, which overflows past about 1.8e308
         try:
-            finite = math.isfinite(self.k * DIGIT_CHOICE_BITS)
+            bits = self.k * DIGIT_CHOICE_BITS
         except OverflowError:
-            finite = False
-        if not finite:
-            raise ValueError("k is too large: a k-digit template's expected bits "
-                             "must be a finite number")
+            bits = math.inf
+        _finite(bits, "k is too large: the k-digit expected cost")
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,7 @@ class FixedBits:
     value: Bits
 
     def __post_init__(self) -> None:
-        if isinstance(self.value, bool) or not math.isfinite(self.value) or self.value < 0.0:
-            raise ValueError(f"expected bits must be finite and >= 0, got {self.value!r}")
+        _check_bits(self.value, "expected bits")
 
 
 @dataclass(frozen=True)
@@ -74,9 +73,7 @@ class MonteCarloPool:
     seed: int
 
     def __post_init__(self) -> None:
-        _check_int(self.n_samples, "n_samples")
-        if self.n_samples < 1:
-            raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
+        _check_int(self.n_samples, "n_samples", 1)
         check_seed(self.seed)
 
 
@@ -87,11 +84,9 @@ def expected_complexity(template: ExpectationTemplate,
                         model: CostModel = DEFAULT_MODEL) -> Bits:
     if isinstance(template, KDigitNumber):
         # each term is finite (KDigitNumber and CostModel check), but not their sum
-        bits = model.copy_cost + template.k * DIGIT_CHOICE_BITS
-        if not math.isfinite(bits):
-            raise ValueError(f"k is too large for copy_cost {model.copy_cost!r}: a k-digit "
-                             "template's expected bits must be a finite number")
-        return bits
+        return _finite(model.copy_cost + template.k * DIGIT_CHOICE_BITS,
+                       f"k is too large for copy_cost {model.copy_cost!r}: the k-digit "
+                       "expected cost")
     if isinstance(template, FixedBits):
         return template.value
     if isinstance(template, MonteCarloPool):
@@ -101,9 +96,7 @@ def expected_complexity(template: ExpectationTemplate,
         # a left-to-right sum: sum() compensates float rounding from Python 3.12
         for bits in price_many(samples, model):
             total += bits
-        if not math.isfinite(total):
-            raise ValueError("the pool's summed sample costs are not a finite float")
-        return total / template.n_samples
+        return _finite(total, "the pool's summed sample cost") / template.n_samples
     raise TypeError(f"unknown expectation template {template!r}")
 
 
@@ -114,9 +107,7 @@ def subjective_probability(u: Bits) -> float:
         p = 2.0 ** (-u)
     except OverflowError:
         p = math.inf
-    if not math.isfinite(p):
-        raise ValueError(f"subjective probability 2**{-u!r} is not a finite float")
-    return p
+    return _finite(p, f"subjective probability 2**{-u!r}")
 
 
 def observed_number_complexity(n: int, model: CostModel = DEFAULT_MODEL
@@ -131,9 +122,7 @@ def observed_number_complexity(n: int, model: CostModel = DEFAULT_MODEL
     a nine costs exactly that and carries no surprise (U = 0).  A total
     past the largest float raises ``ValueError``.
     """
-    _check_int(n, "n")
-    if n < 0:
-        raise ValueError(f"expected a nonnegative number, got {n}")
+    _check_int(n, "n", 0)
     digits = [int(ch) for ch in str(n)]
     choices = zeros_after_nine = 0
     lines = [f"digit-slot copy: {model.copy_cost:.6f}"]
@@ -148,11 +137,9 @@ def observed_number_complexity(n: int, model: CostModel = DEFAULT_MODEL
             choices += 1
             lines.append(f"digit {d}: {DIGIT_CHOICE_BITS:.6f}")
         prev = d
-    total = (model.copy_cost + choices * DIGIT_CHOICE_BITS
-             + zeros_after_nine * model.zero_after_nine_cost)
-    if not math.isfinite(total):
-        raise ValueError("the number's digit-by-digit cost is not a finite float: "
-                         "the cost model's charges sum past the largest float")
+    total = _finite(model.copy_cost + choices * DIGIT_CHOICE_BITS
+                    + zeros_after_nine * model.zero_after_nine_cost,
+                    "the number's digit-by-digit cost")
     lines.append(f"total: {total:.6f}")
     return total, tuple(lines)
 

@@ -204,6 +204,12 @@ def test_derive_10_to_70_needs_the_plus_one_step():
     assert derive_10_to_70(model).total_cost == pytest.approx(4.25)
 
 
+def test_derive_10_to_70_past_the_largest_float_raises():
+    # each charge is finite, but the opening reading's sum is not
+    with pytest.raises(ValueError, match="description cost is not a finite float"):
+        derive_10_to_70(CostModel(copy_cost=1.7e308, dup_cost=1.7e308))
+
+
 def test_naive_cost_formula():
     assert naive_cost([5]) == pytest.approx(math.log2(6))
     assert naive_cost([3, 3]) == pytest.approx(2 * 2 + 1)

@@ -15,6 +15,7 @@ from conftest import cost_models
 from seqsurprise import analyzer, lottery
 from seqsurprise._streams import check_seed
 from seqsurprise.analyzer import analyze, check_sequence
+from seqsurprise.costmodel import CostModel
 from seqsurprise.lottery import (
     _MC_CHUNK,
     COMPLEXITY_WEIGHTED,
@@ -166,7 +167,9 @@ def test_experiment_config_validation():
 
 
 # A bool is an int to Python, and a float may hold a whole number, but
-# neither is a count: each is refused when it is given, naming the argument.
+# neither is a count: each is refused when it is given, naming the argument,
+# as is a count below its minimum and a bit value that is not a finite
+# nonnegative number.
 COUNT_REFUSALS = {
     "config-seed-bool": (lambda: ExperimentConfig(seed=True), "seed"),
     "config-seed-float": (lambda: ExperimentConfig(seed=1.5), "seed"),
@@ -195,7 +198,44 @@ COUNT_REFUSALS = {
     "observed-number-bool": (lambda: observed_number_complexity(True), "n"),
     "number-surprise-bool": (lambda: number_surprise(True), "n"),
     "token-bool": (lambda: check_sequence([1, True]), "tokens"),
+    "config-seed-negative": (lambda: ExperimentConfig(seed=-1), "seed"),
+    "config-random-negative": (lambda: ExperimentConfig(n_random=-1), "n_random"),
+    "config-choices-negative": (lambda: ExperimentConfig(n_choices_per_subject=-1),
+                                "n_choices_per_subject"),
+    "config-subjects-negative": (lambda: ExperimentConfig(n_subjects=-1), "n_subjects"),
+    "config-choice-model-str": (lambda: ExperimentConfig(choice_model=UNIFORM),
+                                "choice_model"),
+    "config-fixed-tuple": (lambda: ExperimentConfig(fixed_combinations=((1, 2, 3, 4, 5, 6),)),
+                           "fixed_combinations"),
+    "check-seed-negative": (lambda: check_seed(-1), "seed"),
+    "kdigit-zero": (lambda: KDigitNumber(0), "k"),
+    "pool-samples-zero": (lambda: MonteCarloPool(lambda rng: [1], n_samples=0, seed=1),
+                          "n_samples"),
+    "avoidance-total-negative": (lambda: avoidance_probability(-1, 2, 2, 26), "n_total"),
+    "avoidance-choices-negative": (lambda: avoidance_probability(14, -1, 2, 26), "n_choices"),
+    "avoidance-avoided-negative": (lambda: avoidance_probability(14, 2, -1, 26), "n_avoided"),
+    "avoidance-subjects-negative": (lambda: avoidance_probability(14, 2, 2, -1), "n_subjects"),
+    "mc-replications-zero": (lambda: avoidance_probability_mc(
+        14, 2, 2, 26, n_replications=0, seed=1), "n_replications"),
+    "observed-number-negative": (lambda: observed_number_complexity(-1), "n"),
+    "number-surprise-negative": (lambda: number_surprise(-1), "n"),
+    "stm-capacity-negative": (lambda: CostModel(stm_capacity=-1), "stm_capacity"),
+    "increment-step-zero": (lambda: CostModel(allowed_increments=frozenset({0, 1})),
+                            "increment step"),
 }
+BAD_BITS = {"str": "1", "none": None, "nan": math.nan, "inf": math.inf,
+            "minus-inf": -math.inf, "negative": -1.0}
+BITS_TAKERS = {
+    "copy-cost": (lambda v: CostModel(copy_cost=v), "copy_cost"),
+    "override": (lambda v: CostModel(increment_cost_overrides=((1, v),)), "increment_cost_1"),
+    "fixed-bits": (FixedBits, "expected bits"),
+    "tau": (lambda v: ChoiceModel(COMPLEXITY_WEIGHTED, v), "tau"),
+}
+# the weighted model reads a None tau as "not given", and takes 7 bits
+COUNT_REFUSALS.update({
+    f"{taker}-{bad}": (lambda take=take, value=value: take(value), name)
+    for taker, (take, name) in BITS_TAKERS.items() for bad, value in BAD_BITS.items()
+    if (taker, bad) != ("tau", "none")})
 
 
 @pytest.mark.parametrize("call,name", COUNT_REFUSALS.values(), ids=COUNT_REFUSALS)
@@ -675,10 +715,13 @@ def test_experiment_script_refuses_tau_without_the_weighted_model(tmp_path):
     (["--seeds", "-2"], "--seeds must be >= 1, got -2"),
     (["--seeds", "0"], "--seeds must be >= 1, got 0"),
     (["--base-seed", "-1"], "seed must be nonnegative, got -1"),
-    (["--subjects", "-1"], "experiment sizes must be nonnegative"),
+    (["--subjects", "-1"], "n_subjects must be nonnegative, got -1"),
     (["--choices", "15"], "cannot pick 15 from a bulletin of 14"),
     (["--choice-model", "complexity_weighted", "--tau", "inf"],
      "tau must be a finite number of bits, got inf"),
-], ids=["seeds-negative", "seeds-zero", "base-seed", "subjects", "choices", "tau-inf"])
+    (["--choice-model", "complexity_weighted", "--tau", "-1"],
+     "tau must be nonnegative, got -1.0"),
+], ids=["seeds-negative", "seeds-zero", "base-seed", "subjects", "choices", "tau-inf",
+        "tau-negative"])
 def test_experiment_script_refuses_bad_arguments(argv, error, tmp_path):
     assert _script_usage_error(tmp_path, *argv) == error

@@ -49,6 +49,22 @@ def test_soft_length_limit_is_documented_not_enforced():
     assert replay(prog) == [1] * 9
 
 
+def test_search_deeper_than_the_recursion_limit_names_the_limit():
+    # the search recurses once per token; 1,500 is past Python's default limit
+    with pytest.raises(RecursionError, match="^exhaustive search of 1500 tokens is deeper "
+                                             "than the recursion limit"):
+        oracle_min_cost([0] * 1500)
+
+
+def test_an_unchosen_infinite_reading_is_built_but_not_chosen():
+    # 12's step reading (a digit, a duplication and a +1) sums past the
+    # largest float; the search builds it and takes the plain 12 instead
+    model = CostModel(dup_cost=1.7e308, allowed_increments=frozenset({1}),
+                      increment_cost_overrides=((1, 1.7e308),))
+    assert oracle_min_cost([12, 12], model)[0] == 4.700439718141093
+    assert analyze([12, 12], model).total_cost == 4.700439718141093
+
+
 @settings(max_examples=150)
 @given(short_sequences, cost_models, operator_sets)
 def test_witness_is_sound(seq, model, operators):
