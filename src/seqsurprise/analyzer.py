@@ -24,12 +24,19 @@ How a token can be read depends only on the token, on whether it opens
 the sequence and on the step from the previous token.  So one
 :class:`MoveTable`, read by key, prices each ``(token, first)`` pair and
 each step once, for this scan, its mirror's half-scan and the exact
-search in :mod:`seqsurprise.oracle` alike.  :func:`analyze` builds one
-table per call and :func:`price_many` one per batch, which lives as long
-as its iterator.  The table holds a token's cheapest fresh reading as
-plain numbers (its cost, its digit path and its operation's charge),
-priced by :func:`cheapest_fresh`, and, for the exact search, every fresh
-reading as a :class:`Move`, built by :func:`fresh_moves`.
+search in :mod:`seqsurprise.oracle` alike.  :func:`move_table` keeps one
+table per cost model for the life of the process, and :func:`analyze`,
+:func:`price_many` and the oracle all read it, so each key is priced
+once per model per process and a second call prices nothing.  Models
+that compare equal share a table; :class:`~seqsurprise.costmodel.CostModel`
+stores its charges so that such models also price and print alike.  The
+table holds a token's cheapest fresh reading as plain numbers (its cost,
+its digit path and its operation's charge), priced by
+:func:`cheapest_fresh`, and, for the exact search, every fresh reading as
+a :class:`Move`, built by :func:`fresh_moves`.  A table holds one entry
+per distinct token and step priced under its model, and the cache keeps
+the tables of at most ``_MOVE_TABLE_MODELS`` models, dropping the least
+recently used.
 
 The scan adds costs left to right and keeps short-term memory as a tuple
 of steps.  :func:`price_many` yields costs only; :func:`analyze` also
@@ -48,7 +55,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import itemgetter
 
 from .costmodel import Bits, CostModel, DEFAULT_MODEL, _finite, _is_int, number_complexity
@@ -207,6 +214,17 @@ class MoveTable:
         return Move((Operation(OpKind.MIRROR, (), cost),), cost)
 
 
+# How many cost models keep a move table at once.
+_MOVE_TABLE_MODELS = 8
+
+
+@lru_cache(maxsize=_MOVE_TABLE_MODELS)
+def move_table(model: CostModel) -> MoveTable:
+    """The process's one :class:`MoveTable` for ``model``, shared by every
+    model equal to it; the least recently used of more models is dropped."""
+    return MoveTable(model)
+
+
 def _scan(toks: tuple[int, ...], table: MoveTable,
           moves: list[Move] | None = None) -> Bits:
     """Total cost of the left-to-right scan, adding costs in order.
@@ -250,7 +268,7 @@ def naive_cost(seq: Sequence[int], model: CostModel = DEFAULT_MODEL) -> Bits:
     total = number_complexity(toks[0])
     for t in toks[1:]:
         total += model.segment_start_cost + number_complexity(t)
-    return total
+    return _finite(total)
 
 
 def _describe(toks: tuple[int, ...], table: MoveTable,
@@ -270,7 +288,7 @@ def _price_valid(toks_iter: Iterable[tuple[int, ...]],
                  model: CostModel) -> Iterator[Bits]:
     """:func:`price_many` over token tuples that have already passed
     :func:`check_sequence`, such as lottery combinations' numbers."""
-    table = MoveTable(model)
+    table = move_table(model)
     for toks in toks_iter:
         yield _finite(_scan(toks, table))
 
@@ -279,10 +297,10 @@ def price_many(seqs: Iterable[Sequence[int]],
                model: CostModel = DEFAULT_MODEL) -> Iterator[Bits]:
     """Yield each sequence's cost in turn, lazily, as :func:`analyze` prices it.
 
-    No program is built.  Every move is priced once per call, in one
-    :class:`MoveTable`, and reused for every later sequence of the batch;
-    the table lives only as long as the returned iterator.  Each sequence
-    is checked as it is reached, so a bad one raises there.
+    No program is built.  Every move is read from the model's
+    :func:`move_table`, so a move priced by an earlier sequence or call is
+    not priced again.  Each sequence is checked as it is reached, so a bad
+    one raises there.
     """
     return _price_valid(map(check_sequence, seqs), model)
 
@@ -296,7 +314,7 @@ def analyze(seq: Sequence[int], model: CostModel = DEFAULT_MODEL, *,
     wins, with the plain scan preferred on ties.
     """
     toks = check_sequence(seq)
-    total, moves = _describe(toks, MoveTable(model), enable_mirror)
+    total, moves = _describe(toks, move_table(model), enable_mirror)
     ops = [op for move in moves for op in move.ops]
     # checked only now: a plain scan past the largest float can lose to a finite mirror
     return DescriptionProgram(tuple(ops), _finite(total), toks)

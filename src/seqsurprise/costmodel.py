@@ -34,7 +34,7 @@ def _check_bits(value: object, name: str) -> None:
     """A bit value: a finite nonnegative real number, and not a bool."""
     try:
         finite = not isinstance(value, bool) and math.isfinite(value)
-    except TypeError:  # a str, None or anything else with no float value
+    except (TypeError, OverflowError):  # no float value, or an int past the largest float
         finite = False
     if not finite:
         raise ValueError(f"{name} must be a finite number of bits, got {value!r}")
@@ -82,20 +82,30 @@ class CostModel:
     increment_cost_overrides: tuple[tuple[int, Bits], ...] = ()
 
     def __post_init__(self) -> None:
+        # Every charge is stored as a plain float with no negative zero, so
+        # models that compare equal price and print alike and can share one
+        # move table (``analyzer.move_table``).
         for name in _CONFIG_FLOAT_KEYS:
             _check_bits(getattr(self, name), name)
+            object.__setattr__(self, name, float(getattr(self, name)) + 0.0)
         _check_int(self.stm_capacity, "stm_capacity", 0)
         if not self.allowed_increments:
             raise ValueError("allowed_increments must not be empty")
         object.__setattr__(self, "allowed_increments", frozenset(self.allowed_increments))
         for k in self.allowed_increments:
             _check_int(k, "increment step", 1)
+        overrides: dict[int, Bits] = {}
         for k, cost in self.increment_cost_overrides:
             # An override for a step the model never takes would be ignored.
             if not _is_int(k) or k not in self.allowed_increments:
                 raise ValueError(f"increment_cost_{k} names step {k}, which is not "
                                  f"in allowed_increments {sorted(self.allowed_increments)}")
+            # A config holds one charge per step, so a second could not round-trip.
+            if k in overrides:
+                raise ValueError(f"increment_cost_{k} is given twice")
             _check_bits(cost, f"increment_cost_{k}")
+            overrides[k] = float(cost) + 0.0
+        object.__setattr__(self, "increment_cost_overrides", tuple(overrides.items()))
 
     def increment_cost(self, k: int) -> Bits:
         """Charge for a +k step; defaults to the rank cost of k itself."""

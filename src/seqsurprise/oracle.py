@@ -9,19 +9,22 @@ short-term memory rule, :func:`seqsurprise.program.touch`.  Branch and
 bound against the running best keeps the search cheap at the documented
 soft limit of 8 tokens; beyond that the tree grows quickly.
 
-Before the search, each position reads its moves by key from one
-``MoveTable`` per solve, the table the analyzer's scan reads: its step's
-COPY/INCREMENT pair (a node takes ``free`` while its memory holds the
-step, else ``charged``), the table's mirror move where the prefix is
-mirrored, and its fresh moves from the table's ``fresh`` map, built by
-``fresh_moves`` in canonical order.  The tree grows exponentially with
-length, so past ``SOFT_LENGTH_LIMIT`` the command line interface needs
-``--allow-long`` (or exits 3).  The search recurses once per emitted
-token, so a sequence longer than Python's recursion limit raises
-``RecursionError``; :func:`oracle_min_cost` states that limit, in the
-message the command line interface prints before it exits 3.  The
-minimum passes :func:`seqsurprise.costmodel._finite`, as the analyzer's
-costs do, so one that is not a finite float raises ``ValueError``.
+Before the search, each position reads its moves by key from the
+model's ``move_table``, the one table the analyzer's scan reads, which
+lives as long as the process: its step's COPY/INCREMENT pair (a node
+takes ``free`` while its memory holds the step, else ``charged``), the
+table's mirror move where the prefix is mirrored, and its fresh moves
+from the table's ``fresh`` map, built by ``fresh_moves`` in canonical
+order.  So each distinct token and step is priced once per model per
+process, not once per solve or per search node.  The tree grows
+exponentially with length, so past ``SOFT_LENGTH_LIMIT`` the command
+line interface needs ``--allow-long`` (or exits 3).  The search recurses
+once per emitted token, so a sequence longer than Python's recursion
+limit raises ``RecursionError``; :func:`oracle_min_cost` states that
+limit, in the message the command line interface prints before it exits
+3.  The minimum passes :func:`seqsurprise.costmodel._finite`, as the
+analyzer's costs do, so one that is not a finite float raises
+``ValueError``.
 
 Ties are broken toward the lexicographically smallest operation stream:
 candidates are expanded in canonical order (copy, increment by rising
@@ -42,7 +45,7 @@ import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .analyzer import Move, MoveTable, check_sequence
+from .analyzer import Move, check_sequence, move_table
 from .costmodel import Bits, CostModel, DEFAULT_MODEL, _finite
 from .program import DescriptionProgram, Operation, OpKind, StmState
 
@@ -80,7 +83,7 @@ def oracle_min_cost(seq: Sequence[int], model: CostModel = DEFAULT_MODEL,
     """
     toks = check_sequence(seq)
     use_mirror = OpKind.MIRROR in (budget or SearchBudget()).operators
-    table = MoveTable(model)
+    table = move_table(model)
     # Per position: the COPY/INCREMENT pair, if one applies, and the
     # mirror move, if it applies, followed by the fresh moves.
     steps: list[tuple[Move, Move] | None] = [None]

@@ -1,6 +1,8 @@
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
+from seqsurprise.analyzer import move_table
 from seqsurprise.costmodel import CostModel
 
 settings.register_profile("suite", deadline=None, max_examples=100)
@@ -20,6 +22,15 @@ cost_models = st.builds(
     allowed_increments=st.frozensets(st.integers(min_value=1, max_value=9),
                                      min_size=1, max_size=3),
 )
+
+
+@pytest.fixture(autouse=True)
+def no_shared_move_tables():
+    """Start and end every test with no move table, so no test reads a
+    price that another test made, perhaps under monkeypatched pricing."""
+    move_table.cache_clear()
+    yield
+    move_table.cache_clear()
 
 
 def op_tuples(ops):

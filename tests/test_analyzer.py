@@ -217,6 +217,11 @@ def test_naive_cost_formula():
     assert naive_cost([1, 1, 1], model) == pytest.approx(3 * 1 + 2 * 0.25)
 
 
+def test_naive_cost_past_the_largest_float_raises():
+    with pytest.raises(ValueError, match="description cost is not a finite float, got inf"):
+        naive_cost([1, 5, 9], CostModel(segment_start_cost=1.7e308))
+
+
 def test_custom_increment_set():
     # with +5 allowed, 3 8 13 becomes one instantiate plus steps
     model = CostModel(allowed_increments=frozenset({5}))
@@ -293,6 +298,7 @@ def test_each_fresh_reading_is_priced_once_per_call(monkeypatch):
     seqs = [[3, 3, 7, 5], [5, 3, 9, 5], [7, 10, 3], [1, 2, 2, 1],
             [10, 44, 44, 10], [44, 10]] * 20
     expected = [analyze(s).total_cost for s in seqs]
+    analyzer.move_table.cache_clear()
     calls, built = Counter(), Counter()
     real, real_moves = analyzer.cheapest_fresh, analyzer.fresh_moves
 
@@ -311,6 +317,12 @@ def test_each_fresh_reading_is_priced_once_per_call(monkeypatch):
     # every fresh start priced 20 per repetition, 400 in all
     assert set(calls.values()) == {1}
     assert len(calls) == 13
+    # the model's table outlives the call: a second batch, and analyze,
+    # under an equal model price nothing again
+    calls.clear()
+    assert list(price_many(seqs, CostModel())) == expected
+    assert [analyze(s).total_cost for s in seqs] == expected
+    assert not calls
     # a batch prices readings as numbers and builds no fresh move
     assert sum(built.values()) == 0
 
@@ -319,6 +331,7 @@ def test_each_step_is_priced_once_per_call(monkeypatch):
     seqs = [[3, 3, 4, 6, 6], [5, 6, 8, 8, 1], [1, 2, 2, 1],
             [10, 44, 44, 10], [9, 9]] * 20
     expected = [analyze(s).total_cost for s in seqs]
+    analyzer.move_table.cache_clear()
     calls = Counter()
     real = analyzer.explained_move
 
@@ -332,6 +345,11 @@ def test_each_step_is_priced_once_per_call(monkeypatch):
     # every token made 17 per repetition, 340 in all
     assert set(calls.values()) == {1}
     assert sorted(calls) == [-34, -7, -1, 0, 1, 2, 34]
+    # a second call reads the same table and prices no step again
+    calls.clear()
+    assert [analyze(s).total_cost for s in seqs] == expected
+    assert list(price_many(seqs)) == expected
+    assert not calls
 
 
 @pytest.mark.parametrize("seq,fresh,steps", [
@@ -341,6 +359,7 @@ def test_each_step_is_priced_once_per_call(monkeypatch):
 ])
 def test_mirror_half_scan_prices_nothing_again(monkeypatch, seq, fresh, steps):
     expected = op_tuples(analyze(seq, enable_mirror=True).ops)
+    analyzer.move_table.cache_clear()
     fresh_calls, step_calls = Counter(), Counter()
     real_fresh, real_explained = analyzer.cheapest_fresh, analyzer.explained_move
 
@@ -354,15 +373,66 @@ def test_mirror_half_scan_prices_nothing_again(monkeypatch, seq, fresh, steps):
 
     monkeypatch.setattr(analyzer, "cheapest_fresh", counting_fresh)
     monkeypatch.setattr(analyzer, "explained_move", counting_explained)
-    for _ in range(2):
-        fresh_calls.clear()
-        step_calls.clear()
-        assert op_tuples(analyze(seq, enable_mirror=True).ops) == expected
-        # the half-scans read the full scan's table: one pricing per
-        # (token, first) and per step in each call
-        assert set(fresh_calls.values()) == set(step_calls.values()) == {1}
-        assert set(fresh_calls) == fresh
-        assert set(step_calls) == steps
+    assert op_tuples(analyze(seq, enable_mirror=True).ops) == expected
+    # the half-scans read the full scan's table: one pricing per
+    # (token, first) and per step
+    assert set(fresh_calls.values()) == set(step_calls.values()) == {1}
+    assert set(fresh_calls) == fresh
+    assert set(step_calls) == steps
+    # a second call reads the same table and prices nothing
+    fresh_calls.clear()
+    step_calls.clear()
+    assert op_tuples(analyze(seq, enable_mirror=True).ops) == expected
+    assert not fresh_calls and not step_calls
+
+
+def test_equal_models_share_one_table():
+    assert analyzer.move_table(CostModel()) is analyzer.move_table(DEFAULT_MODEL)
+    assert (analyzer.move_table(CostModel(copy_cost=-0.0))
+            is analyzer.move_table(CostModel(copy_cost=0.0)))
+    assert analyzer.move_table(CostModel(copy_cost=2.0)) is not analyzer.move_table(DEFAULT_MODEL)
+
+
+def test_analyze_price_many_and_the_oracle_read_one_table(monkeypatch):
+    from seqsurprise.oracle import oracle_min_cost
+
+    built = []
+    real = analyzer.MoveTable
+
+    def building(model):
+        built.append(real(model))
+        return built[-1]
+
+    monkeypatch.setattr(analyzer, "MoveTable", building)
+    seq = [11, 22, 33, 44]
+    analyze(seq)
+    oracle_min_cost(seq)
+    list(price_many([seq], CostModel()))
+    assert len(built) == 1
+    table = built[0]
+    assert analyzer.move_table(DEFAULT_MODEL) is table
+    # the scan filled ``later`` and the search ``fresh``, in one object
+    assert 22 in table.later and (22, False) in table.fresh
+
+
+@pytest.mark.parametrize("a,b", [
+    (CostModel(copy_cost=-0.0), CostModel(copy_cost=0.0)),
+    (CostModel(copy_cost=1), CostModel(copy_cost=1.0)),
+    (CostModel(increment_cost_overrides=((2, -0.0),)),
+     CostModel(increment_cost_overrides=((2, 0),))),
+])
+def test_equal_models_print_alike_whichever_is_priced_first(a, b):
+    seq = [3, 3, 5, 7, 7, 44, 10]
+
+    def printed(model):
+        prog = analyze(seq, model)
+        return prog.trace_lines(), repr(op_tuples(prog.ops)), repr(prog.total_cost)
+
+    assert a == b
+    a_first = printed(a), printed(b)
+    analyzer.move_table.cache_clear()
+    b_first = printed(b), printed(a)
+    assert a_first[0] == a_first[1] == b_first[0] == b_first[1]
 
 
 def test_batch_builds_no_program(monkeypatch):

@@ -75,6 +75,35 @@ def test_model_refuses_bools_where_it_means_numbers():
             CostModel(**kwargs)
 
 
+def test_model_stores_plain_floats_with_no_negative_zero():
+    # equal models share one move table, so they must price and print alike
+    for kwargs in ({"copy_cost": -0.0}, {"copy_cost": 0}, {"mirror_cost": 2},
+                   {"increment_cost_overrides": ((2, -0.0),)},
+                   {"increment_cost_overrides": [[1, 3]]}):
+        model = CostModel(**kwargs)
+        charges = [getattr(model, name) for name in
+                   ("copy_cost", "dup_cost", "segment_start_cost", "mirror_cost",
+                    "zero_after_nine_cost")]
+        charges += [cost for _, cost in model.increment_cost_overrides]
+        assert all(type(c) is float and math.copysign(1.0, c) == 1.0 for c in charges)
+        assert isinstance(model.increment_cost_overrides, tuple)
+        assert all(isinstance(pair, tuple) for pair in model.increment_cost_overrides)
+        assert model_to_config_text(model) == model_to_config_text(
+            model_from_config_text(model_to_config_text(model)))
+        hash(model)
+
+
+def test_model_refuses_a_step_overridden_twice():
+    # the config holds one charge per step, so the second could not round-trip
+    with pytest.raises(ValueError, match="increment_cost_1 is given twice"):
+        CostModel(increment_cost_overrides=((1, 0.5), (1, 2.0)))
+
+
+def test_model_refuses_an_int_past_the_largest_float():
+    with pytest.raises(ValueError, match="^copy_cost must be a finite number of bits"):
+        CostModel(copy_cost=10**400)
+
+
 def test_model_is_frozen():
     with pytest.raises(AttributeError):
         DEFAULT_MODEL.copy_cost = 2.0
