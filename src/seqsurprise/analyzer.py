@@ -24,24 +24,22 @@ How a token can be read depends only on the token, on whether it opens
 the sequence and on the step from the previous token.  So one
 :class:`MoveTable`, read by key, prices each ``(token, first)`` pair and
 each step once, for this scan, its mirror's half-scan and the exact
-search in :mod:`seqsurprise.oracle` alike.  :func:`move_table` keeps one
-table per cost model for the life of the process, and :func:`analyze`,
-:func:`price_many` and the oracle all read it, so each key is priced
-once per model per process and a second call prices nothing.  Models
-that compare equal share a table; :class:`~seqsurprise.costmodel.CostModel`
-stores its charges so that such models also price and print alike.  The
-table holds a token's cheapest fresh reading as plain numbers (its cost,
-its digit path and its operation's charge), priced by
-:func:`cheapest_fresh`, and, for the exact search, every fresh reading as
-a :class:`Move`, built by :func:`fresh_moves`.  A table holds one entry
-per distinct token and step priced under its model, and the cache keeps
-the tables of at most ``_MOVE_TABLE_MODELS`` models, dropping the least
-recently used.
+search in :mod:`seqsurprise.oracle` alike.  :func:`fresh_moves` is the
+one builder of a fresh reading; the table keeps the :class:`Move`
+objects it builds, every one for the search and the cheapest for the
+scan.  :func:`move_table` keeps one table per cost model for the life of
+the process, and :func:`analyze`, :func:`price_many` and the oracle all
+read it, so a second call prices nothing.  Models that compare equal share a
+table; :class:`~seqsurprise.costmodel.CostModel` stores its charges so
+that such models also price and print alike.  Each map of a table clears
+itself when it reaches a fixed number of keys, and the cache keeps the
+tables of at most ``_MOVE_TABLE_MODELS`` models, dropping the least
+recently used, so the memory they hold is bounded.
 
 The scan adds costs left to right and keeps short-term memory as a tuple
 of steps.  :func:`price_many` yields costs only; :func:`analyze` also
-builds the one move of each fresh token it keeps and flattens the moves
-into a validated :class:`DescriptionProgram`.  The lottery prices
+keeps the table's move of each token and flattens the moves into a
+validated :class:`DescriptionProgram`.  The lottery prices
 combinations, which are checked when they are built, without checking
 them again.
 
@@ -56,7 +54,6 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import itemgetter
 
 from .costmodel import Bits, CostModel, DEFAULT_MODEL, _finite, _is_int, number_complexity
 from .program import DescriptionProgram, Operation, OpKind, touch
@@ -105,51 +102,20 @@ def split_readings(token: int, model: CostModel) -> list[tuple[str, Bits]]:
     return readings
 
 
-def _fresh_readings(token: int, model: CostModel,
-                    first: bool) -> list[tuple[Bits, str | None, Bits]]:
-    """Ways to start a segment at this token as plain numbers, in canonical
-    order: ``(cost, path, bits)`` for a plain instantiate (``path`` None),
-    then for each digit reading named by its ``path``; ``bits`` is the
-    reading's own charge, and ``cost`` adds the segment charge after the
-    first token."""
-    seg_cost = 0.0 if first else model.segment_start_cost
-    rank_bits = number_complexity(token)
-    return [(seg_cost + rank_bits, None, rank_bits)] + [
-        (seg_cost + bits, path, bits) for path, bits in split_readings(token, model)]
-
-
-def cheapest_fresh(token: int, model: CostModel, *,
-                   first: bool) -> tuple[Bits, str | None, Bits]:
-    """The cheapest fresh reading as ``(cost, path, bits)``, without
-    building a :class:`Move`; ``min`` keeps the first of equal costs."""
-    return min(_fresh_readings(token, model, first), key=itemgetter(0))
-
-
-def _segment_ops(model: CostModel, first: bool) -> tuple[Operation, ...]:
-    """The segment start that opens a fresh reading after the first token."""
-    if first:
-        return ()
-    return (Operation(OpKind.SEGMENT_START, (), model.segment_start_cost),)
-
-
-def _fresh_move(token: int, reading: tuple[Bits, str | None, Bits],
-                seg_ops: tuple[Operation, ...]) -> Move:
-    """The move of one fresh reading: ``seg_ops``, then the reading's own
-    operation."""
-    cost, path, bits = reading
-    if path is None:
-        op = Operation(OpKind.INSTANTIATE, (token,), bits)
-    else:
-        op = Operation(OpKind.SPLIT_DIGITS, (token, path), bits)
-    return Move(seg_ops + (op,), cost)
-
-
 def fresh_moves(token: int, model: CostModel, *, first: bool) -> list[Move]:
     """Ways to start a segment at this token, in canonical order: plain
-    instantiate, then the digit readings.  The first of equal costs wins."""
-    seg_ops = _segment_ops(model, first)
-    return [_fresh_move(token, reading, seg_ops)
-            for reading in _fresh_readings(token, model, first)]
+    instantiate, then the digit readings.  After the first token each
+    opens with a SEGMENT_START, whose charge the move's cost adds.  The
+    first of equal costs wins."""
+    if first:
+        seg_cost, seg_ops = 0.0, ()
+    else:
+        seg_cost = model.segment_start_cost
+        seg_ops = (Operation(OpKind.SEGMENT_START, (), seg_cost),)
+    readings = [(OpKind.INSTANTIATE, (token,), number_complexity(token))] + [
+        (OpKind.SPLIT_DIGITS, (token, path), bits) for path, bits in split_readings(token, model)]
+    return [Move(seg_ops + (Operation(kind, args, bits),), seg_cost + bits)
+            for kind, args, bits in readings]
 
 
 def explained_move(step: int, model: CostModel) -> tuple[Move, Move] | None:
@@ -167,8 +133,18 @@ def explained_move(step: int, model: CostModel) -> tuple[Move, Move] | None:
     return charged, free
 
 
+# How many keys one map of a move table keeps before it clears itself: far
+# more than a lottery or a benchmark prices, whose tokens stay below 100
+# (at most 200 fresh keys and 199 steps per model).
+_PRICED_ENTRIES = 4096
+
+
 class _Priced(dict):
-    """A map that prices a key the first time it is read and keeps the result."""
+    """A map that prices a key the first time it is read and keeps the result.
+
+    A map holding ``_PRICED_ENTRIES`` keys clears itself before it prices
+    the next one; prices are pure, so a key priced again reads the same.
+    """
 
     __slots__ = ("price",)
 
@@ -176,37 +152,43 @@ class _Priced(dict):
         self.price = price
 
     def __missing__(self, key):
+        if len(self) >= _PRICED_ENTRIES:
+            self.clear()
         value = self[key] = self.price(key)
         return value
+
+
+def _cost(move: Move) -> Bits:
+    return move.cost
 
 
 class MoveTable:
     """One cost model's moves, one map per kind of move, read by key.
 
-    ``opening`` and ``later`` map a token, as the first token or after
-    it, to its cheapest fresh reading as plain numbers, ``(cost, path,
-    bits)`` from :func:`cheapest_fresh`; :meth:`cheapest_move` builds the
-    :class:`Move` of that reading.  ``fresh`` maps ``(token, first)`` to
-    every fresh move, built by :func:`fresh_moves` in canonical order, for
-    the exact search.  ``steps`` maps a step to its :func:`explained_move`
-    pair, or to ``None`` where neither COPY nor INCREMENT applies.  A map
-    prices a key on its first read, calling those functions by their
-    module names, so each key is priced once per table.  ``mirror`` is
-    the one MIRROR move.
+    ``fresh`` maps ``(token, first)`` to every fresh move, built by
+    :func:`fresh_moves` in canonical order.  ``opening`` and ``later`` map
+    a token, as the first token or after it, to the cheapest of those
+    moves, the first of equal costs.  ``steps`` maps a step to its
+    :func:`explained_move` pair, or to ``None`` where neither COPY nor
+    INCREMENT applies.  A map prices a key on its first read, calling
+    those functions by their module names, so each key is priced once per
+    table while the map holds it.  ``mirror`` is the one MIRROR move.
+
+    Each map holds at most ``_PRICED_ENTRIES`` keys.  With every map full,
+    every step allowed and tokens below 2**63, a table holds about 10.4 MiB
+    (tracemalloc, CPython 3.11), so the ``_MOVE_TABLE_MODELS`` cached tables
+    hold at most about 83 MiB.  Unbounded, pricing 10**5 distinct tokens
+    kept about 192 MiB.
     """
 
     def __init__(self, model: CostModel) -> None:
         self.model = model
         # no map refers back to the table, so dropping it frees it at once
-        self.opening = _Priced(lambda t: cheapest_fresh(t, model, first=True))
-        self.later = _Priced(lambda t: cheapest_fresh(t, model, first=False))
-        self.fresh = _Priced(lambda key: tuple(fresh_moves(key[0], model, first=key[1])))
+        fresh = self.fresh = _Priced(
+            lambda key: tuple(fresh_moves(key[0], model, first=key[1])))
+        self.opening = _Priced(lambda t: min(fresh[t, True], key=_cost))
+        self.later = _Priced(lambda t: min(fresh[t, False], key=_cost))
         self.steps = _Priced(lambda step: explained_move(step, model))
-
-    def cheapest_move(self, token: int, *, first: bool) -> Move:
-        """The move of ``token``'s cheapest fresh reading, built anew."""
-        reading = (self.opening if first else self.later)[token]
-        return _fresh_move(token, reading, _segment_ops(self.model, first))
 
     @cached_property
     def mirror(self) -> Move:
@@ -229,24 +211,22 @@ def _scan(toks: tuple[int, ...], table: MoveTable,
           moves: list[Move] | None = None) -> Bits:
     """Total cost of the left-to-right scan, adding costs in order.
 
-    Fresh readings are added as the table's plain costs; only when a
-    ``moves`` list is given is the chosen move of each token built (for
-    a fresh token) and appended to it.  Short-term memory is a tuple of
+    Each token's move is read from the table; when a ``moves`` list is
+    given, it is appended there too.  Short-term memory is a tuple of
     steps, updated by :func:`touch`.
     """
     capacity = table.model.stm_capacity
     later, steps = table.later, table.steps
     prev = toks[0]
-    total = table.opening[prev][0]
+    move = table.opening[prev]
+    total = move.cost
     if moves is not None:
-        moves.append(table.cheapest_move(prev, first=True))
+        moves.append(move)
     slots: tuple = ()
     for token in toks[1:]:
         pair = steps[token - prev]
         if pair is None:
-            total += later[token][0]
-            if moves is not None:
-                moves.append(table.cheapest_move(token, first=False))
+            move = later[token]
         else:
             charged, move = pair
             key = charged.key
@@ -255,9 +235,9 @@ def _scan(toks: tuple[int, ...], table: MoveTable,
                 if key not in slots:
                     move = charged
                 slots = touch(slots, key, capacity)
-            if moves is not None:
-                moves.append(move)
-            total += move.cost
+        if moves is not None:
+            moves.append(move)
+        total += move.cost
         prev = token
     return total
 

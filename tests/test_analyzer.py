@@ -299,32 +299,33 @@ def test_each_fresh_reading_is_priced_once_per_call(monkeypatch):
             [10, 44, 44, 10], [44, 10]] * 20
     expected = [analyze(s).total_cost for s in seqs]
     analyzer.move_table.cache_clear()
-    calls, built = Counter(), Counter()
-    real, real_moves = analyzer.cheapest_fresh, analyzer.fresh_moves
+    calls = Counter()
+    real = analyzer.fresh_moves
 
     def counting(token, model, *, first, **kwargs):
         calls[token, first] += 1
         return real(token, model, first=first, **kwargs)
 
-    def building(token, model, *, first):
-        built[token, first] += 1
-        return real_moves(token, model, first=first)
-
-    monkeypatch.setattr(analyzer, "cheapest_fresh", counting)
-    monkeypatch.setattr(analyzer, "fresh_moves", building)
+    monkeypatch.setattr(analyzer, "fresh_moves", counting)
     assert list(price_many(seqs)) == expected
     # one pricing per distinct (token, first); rebuilding the readings at
     # every fresh start priced 20 per repetition, 400 in all
     assert set(calls.values()) == {1}
     assert len(calls) == 13
-    # the model's table outlives the call: a second batch, and analyze,
-    # under an equal model price nothing again
-    calls.clear()
+    # the model's table outlives the call: a second batch, analyze and the
+    # oracle, under an equal model, build no fresh move again
+    from seqsurprise.oracle import oracle_min_cost
+
     assert list(price_many(seqs, CostModel())) == expected
     assert [analyze(s).total_cost for s in seqs] == expected
-    assert not calls
-    # a batch prices readings as numbers and builds no fresh move
-    assert sum(built.values()) == 0
+    assert set(calls.values()) == {1} and len(calls) == 13
+    # the search reads the same table: it builds only the fresh 2 of 1 2 2 1,
+    # which the scan reads as +1, so each (token, first) is built once per
+    # process
+    for seq in seqs[:6]:
+        oracle_min_cost(seq)
+    assert set(calls.values()) == {1}
+    assert len(calls) == 14 and (2, False) in calls
 
 
 def test_each_step_is_priced_once_per_call(monkeypatch):
@@ -361,7 +362,7 @@ def test_mirror_half_scan_prices_nothing_again(monkeypatch, seq, fresh, steps):
     expected = op_tuples(analyze(seq, enable_mirror=True).ops)
     analyzer.move_table.cache_clear()
     fresh_calls, step_calls = Counter(), Counter()
-    real_fresh, real_explained = analyzer.cheapest_fresh, analyzer.explained_move
+    real_fresh, real_explained = analyzer.fresh_moves, analyzer.explained_move
 
     def counting_fresh(token, model, *, first):
         fresh_calls[token, first] += 1
@@ -371,7 +372,7 @@ def test_mirror_half_scan_prices_nothing_again(monkeypatch, seq, fresh, steps):
         step_calls[step] += 1
         return real_explained(step, model)
 
-    monkeypatch.setattr(analyzer, "cheapest_fresh", counting_fresh)
+    monkeypatch.setattr(analyzer, "fresh_moves", counting_fresh)
     monkeypatch.setattr(analyzer, "explained_move", counting_explained)
     assert op_tuples(analyze(seq, enable_mirror=True).ops) == expected
     # the half-scans read the full scan's table: one pricing per
@@ -384,6 +385,21 @@ def test_mirror_half_scan_prices_nothing_again(monkeypatch, seq, fresh, steps):
     step_calls.clear()
     assert op_tuples(analyze(seq, enable_mirror=True).ops) == expected
     assert not fresh_calls and not step_calls
+
+
+def test_each_map_of_a_table_stays_under_its_cap():
+    table = analyzer.move_table(DEFAULT_MODEL)
+    maps = (table.opening, table.later, table.fresh, table.steps)
+    before = table.opening[7], table.later[44], table.fresh[44, False], table.steps[1]
+    # 10**5 distinct tokens, and as many distinct steps
+    batch = price_many([t, 2 * t + 3] for t in range(10**5))
+    for _ in batch:
+        assert max(map(len, maps)) <= analyzer._PRICED_ENTRIES
+    assert 44 not in table.later and (44, False) not in table.fresh
+    # prices are pure: a cleared key priced again reads as it first did
+    again = table.opening[7], table.later[44], table.fresh[44, False], table.steps[1]
+    assert again == before
+    assert again[1].cost.hex() == before[1].cost.hex()
 
 
 def test_equal_models_share_one_table():
@@ -463,20 +479,32 @@ def test_batch_builds_no_operation_for_a_fresh_reading(monkeypatch):
 
 
 def test_analyze_builds_one_move_per_fresh_token(monkeypatch):
-    expected = [op_tuples(analyze(s).ops) for s in ALL_FRESH]
-    built = []
-    real = analyzer.Move
+    analyzer.move_table.cache_clear()
+    built, fresh = [], Counter()
+    real_move, real_fresh = analyzer.Move, analyzer.fresh_moves
 
     def counting(*args, **kwargs):
-        built.append(real(*args, **kwargs))
+        built.append(real_move(*args, **kwargs))
         return built[-1]
 
+    def building(token, model, *, first):
+        moves = real_fresh(token, model, first=first)
+        fresh[token, first] += len(moves)
+        return moves
+
     monkeypatch.setattr(analyzer, "Move", counting)
+    monkeypatch.setattr(analyzer, "fresh_moves", building)
+    expected = [op_tuples(analyze(seq).ops) for seq in ALL_FRESH]
+    # the first call builds each fresh reading of each (token, first) once,
+    # in fresh_moves, and no other Move: no step here has a reading
+    assert set(fresh) == {(seq[0], True) for seq in ALL_FRESH} | {
+        (t, False) for seq in ALL_FRESH for t in seq[1:]}
+    assert len(built) == sum(fresh.values())
     for seq, ops in zip(ALL_FRESH, expected):
         built.clear()
         assert op_tuples(analyze(seq).ops) == ops
-        # only the kept reading of each token, repeated tokens included
-        assert len(built) == len(seq)
+        # a second call keeps the table's moves and builds none
+        assert not built
 
 
 tie_charges = st.one_of(st.sampled_from([0.0, 0.5, 1.0, math.log2(3), 2.0]),
@@ -504,12 +532,13 @@ def test_table_keeps_the_first_cheapest_fresh_move(model):
     # 0-200 holds every digit reading and the near tie 29
     for token in range(201):
         for first in (True, False):
-            cheapest = min(fresh_moves(token, model, first=first), key=lambda m: m.cost)
-            entry = (table.opening if first else table.later)[token]
-            assert entry[0].hex() == cheapest.cost.hex()
-            built = table.cheapest_move(token, first=first)
-            assert built.cost.hex() == cheapest.cost.hex()
-            assert op_tuples(built.ops) == op_tuples(cheapest.ops)
+            members = table.fresh[token, first]
+            built = fresh_moves(token, model, first=first)
+            assert [m.cost.hex() for m in members] == [m.cost.hex() for m in built]
+            assert [op_tuples(m.ops) for m in members] == [op_tuples(m.ops) for m in built]
+            low = min(m.cost for m in built)
+            first_cheapest = next(m for m in members if m.cost == low)
+            assert (table.opening if first else table.later)[token] is first_cheapest
 
 
 def test_batch_is_lazy_and_checks_each_sequence():
