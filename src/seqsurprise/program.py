@@ -10,6 +10,7 @@ oracle are responsible for charging them correctly.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 
@@ -98,8 +99,11 @@ class DescriptionProgram:
     reconstructs: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        # Both are forward sums of nonnegative charges, but a move adds its
+        # segment start and reading as one term, so at large charges they
+        # differ by a few units in the last place of the total.
         charged = sum(op.charged_cost for op in self.ops)
-        if abs(charged - self.total_cost) > 1e-9:
+        if not math.isclose(charged, self.total_cost, rel_tol=1e-9, abs_tol=1e-9):
             raise ValueError(
                 f"total_cost {self.total_cost} does not match summed charges {charged}")
 

@@ -248,6 +248,15 @@ def test_config_file_changes_costs(tmp_path, capsys):
     assert "cost_bits=5\n" in out
 
 
+@pytest.mark.parametrize("command", ["complexity", "oracle"])
+def test_large_segment_charge_prices_without_error(tmp_path, capsys, command):
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text("segment_start_cost = 1e13\n")
+    code, out, err = run(capsys, [command, "72", "97", "8", "--config", str(cfg)])
+    assert code == 0, err
+    assert "tokens=72 97 8\n" in out
+
+
 def test_config_unknown_key_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "model.cfg"
     cfg.write_text("copy_cost = 2.0\ncopy_costt = 1.0\n")

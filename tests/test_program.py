@@ -4,7 +4,8 @@ from hypothesis import strategies as st
 
 from brute_force import _remember
 from seqsurprise.analyzer import MoveTable, analyze, explained_move, fresh_moves
-from seqsurprise.costmodel import DEFAULT_MODEL
+from seqsurprise.costmodel import CostModel, DEFAULT_MODEL
+from seqsurprise.oracle import oracle_min_cost
 from seqsurprise.program import (
     DescriptionProgram,
     Operation,
@@ -89,6 +90,24 @@ def test_program_total_must_match_charges():
     DescriptionProgram(ops, 2.0, (5,))
     with pytest.raises(ValueError):
         DescriptionProgram(ops, 3.0, (5,))
+
+
+@pytest.mark.parametrize("seq,segment_start_cost", [
+    ([72, 97, 8], 1e13), ([1, 65, 41, 14], 1e15), ([18, 48, 55, 41], 1e16)])
+@pytest.mark.parametrize("engine", ["analyze", "oracle"])
+def test_program_accepts_its_total_at_large_charges(seq, segment_start_cost, engine):
+    model = CostModel(segment_start_cost=segment_start_cost)
+    if engine == "analyze":
+        prog = analyze(seq, model)
+    else:
+        cost, prog = oracle_min_cost(seq, model)
+        assert cost == prog.total_cost
+    assert replay(prog) == seq
+    # a move adds its segment start and reading as one term, so the
+    # op-by-op sum lands a few units in the last place away
+    charged = sum(op.charged_cost for op in prog.ops)
+    assert charged != prog.total_cost
+    assert abs(charged - prog.total_cost) <= 4 * len(seq) * 2**-53 * charged
 
 
 def test_trace_line_format():
