@@ -19,7 +19,6 @@ _HOMES = {
             "CostModel",
             "DEFAULT_MODEL",
             "model_from_config_text",
-            "model_to_config_text",
             "number_complexity",
         ),
         "lottery": (

@@ -127,17 +127,6 @@ def number_complexity(n: int) -> Bits:
     return math.log2(n + 1)
 
 
-def model_to_config_text(model: CostModel) -> str:
-    """Serialize a model to the flat key=value config format."""
-    lines = [f"{key} = {getattr(model, key)!r}" for key in _CONFIG_FLOAT_KEYS]
-    lines.append(f"stm_capacity = {model.stm_capacity}")
-    incs = ",".join(str(k) for k in sorted(model.allowed_increments))
-    lines.append(f"allowed_increments = {incs}")
-    for k, cost in model.increment_cost_overrides:
-        lines.append(f"increment_cost_{k} = {cost!r}")
-    return "\n".join(lines) + "\n"
-
-
 def model_from_config_text(text: str) -> CostModel:
     """Parse the flat key=value format; unknown keys are a hard error."""
     values: dict[str, object] = {}
