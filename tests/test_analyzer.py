@@ -314,14 +314,14 @@ def test_each_fresh_reading_is_priced_once_per_call(monkeypatch):
     assert len(calls) == 13
     # the model's table outlives the call: a second batch, analyze and the
     # oracle, under an equal model, build no fresh move again
-    from seqsurprise.oracle import oracle_min_cost
-
     assert list(price_many(seqs, CostModel())) == expected
     assert [analyze(s).total_cost for s in seqs] == expected
     assert set(calls.values()) == {1} and len(calls) == 13
     # the search reads the same table: it builds only the fresh 2 of 1 2 2 1,
     # which the scan reads as +1, so each (token, first) is built once per
     # process
+    from seqsurprise.oracle import oracle_min_cost
+
     for seq in seqs[:6]:
         oracle_min_cost(seq)
     assert set(calls.values()) == {1}
@@ -399,7 +399,6 @@ def test_each_map_of_a_table_stays_under_its_cap():
     # prices are pure: a cleared key priced again reads as it first did
     again = table.opening[7], table.later[44], table.fresh[44, False], table.steps[1]
     assert again == before
-    assert again[1].cost.hex() == before[1].cost.hex()
 
 
 def test_equal_models_share_one_table():
@@ -475,6 +474,7 @@ def test_batch_builds_no_operation_for_a_fresh_reading(monkeypatch):
         raise AssertionError("a batch built an Operation")
 
     monkeypatch.setattr(analyzer, "Operation", no_operation)
+    # analyze above priced every key, so the batch reads the table's moves
     assert list(price_many(ALL_FRESH)) == expected
 
 
