@@ -396,6 +396,14 @@ def avoidance_probability_mc(n_total: int, n_choices: int, n_avoided: int,
     minimum over all its subjects, started at ``n_avoided`` so that a
     replication without subjects counts, is still ``n_avoided``.  With
     no picks every replication counts.
+
+    Nothing is drawn after the last batch, so that batch alone stops
+    early: after each pick it finds the replications that still count,
+    draws nothing more once none is left, and draws its last pick only
+    up to the last one that does.  The first rows of a draw are the
+    same values as the first rows of a longer draw, so no estimate
+    moves.  Earlier batches, and earlier picks of the last batch, draw
+    in full, because they fix where later draws start.
     """
     _check_int(n_replications, "n_replications", 1)
     check_seed(seed)
@@ -413,12 +421,20 @@ def avoidance_probability_mc(n_total: int, n_choices: int, n_avoided: int,
     remaining = n_replications
     while remaining > 0:
         m = min(rows, remaining)
+        remaining -= m
         low = rng.integers(0, n_total, size=(m, n_subjects), dtype=dtype)
         for j in range(1, n_choices):
-            draw = rng.integers(0, n_total - j, size=(m, n_subjects), dtype=dtype)
+            if remaining == 0:
+                # The last batch: no draw follows it, so it may stop early.
+                live = np.flatnonzero(low.min(axis=1, initial=n_avoided) == n_avoided)
+                if live.size == 0:
+                    break
+                if j == n_choices - 1:
+                    low = low[:live[-1] + 1]
+            draw = rng.integers(0, n_total - j, size=low.shape, dtype=dtype)
             np.minimum(low, draw, out=low)
-        hits += int(np.count_nonzero(low.min(axis=1, initial=n_avoided) == n_avoided))
-        remaining -= m
+        else:  # a batch that stopped early has no replication that counts
+            hits += int(np.count_nonzero(low.min(axis=1, initial=n_avoided) == n_avoided))
     return hits / n_replications
 
 

@@ -10,7 +10,6 @@ oracle are responsible for charging them correctly.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 
@@ -99,11 +98,13 @@ class DescriptionProgram:
     reconstructs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        # Both are forward sums of nonnegative charges, but a move adds its
-        # segment start and reading as one term, so at large charges they
-        # differ by a few units in the last place of the total.
+        # Both sum the same nonnegative charges, but a move adds its segment
+        # start and reading as one term, and from Python 3.12 sum()
+        # compensates its roundings, so at large charges they differ by a
+        # few units in the last place: at most a few roundings per operation.
         charged = sum(op.charged_cost for op in self.ops)
-        if not math.isclose(charged, self.total_cost, rel_tol=1e-9, abs_tol=1e-9):
+        bound = 4 * len(self.ops) * 2**-53 * max(charged, self.total_cost) + 1e-9
+        if not abs(charged - self.total_cost) <= bound:
             raise ValueError(
                 f"total_cost {self.total_cost} does not match summed charges {charged}")
 

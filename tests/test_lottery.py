@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import cost_models
 from seqsurprise import analyzer, lottery
-from seqsurprise._streams import check_seed
+from seqsurprise._streams import check_seed, generator
 from seqsurprise.analyzer import analyze, check_sequence
 from seqsurprise.costmodel import CostModel
 from seqsurprise.lottery import (
@@ -582,14 +582,87 @@ def test_avoidance_mc_caps_the_draws_of_a_batch(monkeypatch):
     # _MC_CHUNK rows, beyond that at most _MC_CELLS draws per array
     monkeypatch.setattr(lottery, "_MC_CHUNK", 5)
     monkeypatch.setattr(lottery, "_MC_CELLS", 200 * 5)
+    # at 200 subjects no replication counts after its first pick, so the
+    # last batch stops after that pick
     avoidance_probability_mc(14, 3, 2, 200, n_replications=6, seed=1)
-    assert sizes == [(5, 200)] * 3 + [(1, 200)] * 3
+    assert sizes == [(5, 200)] * 3 + [(1, 200)]
     sizes.clear()
     avoidance_probability_mc(14, 2, 2, 201, n_replications=10, seed=1)
-    assert sizes == [(4, 201)] * 4 + [(2, 201)] * 2
+    assert sizes == [(4, 201)] * 4 + [(2, 201)]
     sizes.clear()
     avoidance_probability_mc(14, 1, 2, 1001, n_replications=2, seed=1)
     assert sizes == [(1, 1001)] * 2
+
+
+def _full_draw_mc(n_total, n_choices, n_avoided, n_subjects, n_replications, seed):
+    # reference: the estimator with every pick of every batch drawn in full
+    import numpy as np
+
+    if n_choices == 0:
+        return 1.0
+    rng = generator(seed)
+    dtype = (np.int16 if n_total <= 2**15
+             else np.int32 if n_total <= 2**31 else np.int64)
+    rows = min(lottery._MC_CHUNK, max(1, lottery._MC_CELLS // max(n_subjects, 1)))
+    hits = 0
+    remaining = n_replications
+    while remaining > 0:
+        m = min(rows, remaining)
+        low = rng.integers(0, n_total, size=(m, n_subjects), dtype=dtype)
+        for j in range(1, n_choices):
+            draw = rng.integers(0, n_total - j, size=(m, n_subjects), dtype=dtype)
+            np.minimum(low, draw, out=low)
+        hits += int(np.count_nonzero(low.min(axis=1, initial=n_avoided) == n_avoided))
+        remaining -= m
+    return hits / n_replications
+
+
+@st.composite
+def _mc_cases(draw):
+    # half the cases come from where some replications outlive a pick and
+    # some do not, so that a last batch stops with live rows behind it: a
+    # dozen or more entries, one or two marked, a few subjects, three or
+    # more picks
+    dense = draw(st.booleans())
+    n_total = draw(st.integers(min_value=10 if dense else 0, max_value=20))
+    n_choices = draw(st.integers(min_value=3 if dense else 0, max_value=min(6, n_total)))
+    n_avoided = draw(st.integers(min_value=1, max_value=2) if dense
+                     else st.integers(min_value=0, max_value=n_total))
+    n_subjects = draw(st.integers(min_value=1, max_value=4) if dense
+                      else st.integers(min_value=0, max_value=300))
+    return (n_total, n_choices, n_avoided, n_subjects,
+            draw(st.integers(min_value=1, max_value=40)),
+            draw(st.integers(min_value=0, max_value=1_000)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mc_cases())
+def test_avoidance_mc_matches_the_full_draw_loop(case):
+    # small batches, so that most cases span several and end on a short one
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lottery, "_MC_CHUNK", 6)
+        mp.setattr(lottery, "_MC_CELLS", 6 * 60)
+        assert avoidance_probability_mc(*case[:4], n_replications=case[4],
+                                        seed=case[5]) == _full_draw_mc(*case)
+
+
+def test_avoidance_mc_shortens_its_last_pick(monkeypatch):
+    import numpy as np
+
+    sizes = []
+
+    class Recording(np.random.Generator):
+        def integers(self, *args, size=None, **kwargs):
+            sizes.append(size)
+            return super().integers(*args, size=size, **kwargs)
+
+    monkeypatch.setattr(np.random, "Generator", Recording)
+    monkeypatch.setattr(lottery, "_MC_CHUNK", 5)
+    # the last batch's last replication stops counting before its fourth
+    # pick, which is then drawn for the first two replications only
+    estimate = avoidance_probability_mc(14, 4, 2, 3, n_replications=8, seed=4)
+    assert sizes == [(5, 3)] * 4 + [(3, 3)] * 3 + [(2, 3)]
+    assert estimate == _full_draw_mc(14, 4, 2, 3, 8, 4) == 1 / 8
 
 
 def test_avoidance_mc_validates_arguments():

@@ -92,6 +92,17 @@ def test_program_total_must_match_charges():
         DescriptionProgram(ops, 3.0, (5,))
 
 
+def test_program_refuses_a_total_thousands_of_bits_off_at_large_charges():
+    # a relative tolerance of 1e-9 would let 5000 bits pass at 1e13; two
+    # charges may round a few units in the last place, under 0.01 bits here
+    ops = (inst(5, 1e13), inst(6, 1.0))
+    DescriptionProgram(ops, 1e13 + 1.0, (5, 6))
+    with pytest.raises(ValueError, match="does not match summed charges"):
+        DescriptionProgram(ops, 1e13 + 5000, (5, 6))
+    with pytest.raises(ValueError, match="does not match summed charges"):
+        DescriptionProgram(ops, 1e13 + 1.0 + 2**-52 * 1e13 * 8, (5, 6))
+
+
 @pytest.mark.parametrize("seq,segment_start_cost", [
     ([72, 97, 8], 1e13), ([1, 65, 41, 14], 1e15), ([18, 48, 55, 41], 1e16)])
 @pytest.mark.parametrize("engine", ["analyze", "oracle"])
@@ -104,8 +115,11 @@ def test_program_accepts_its_total_at_large_charges(seq, segment_start_cost, eng
         assert cost == prog.total_cost
     assert replay(prog) == seq
     # a move adds its segment start and reading as one term, so the
-    # op-by-op sum lands a few units in the last place away
-    charged = sum(op.charged_cost for op in prog.ops)
+    # op-by-op sum lands a few units in the last place away.  The sum is
+    # written out: from Python 3.12 sum() compensates its roundings.
+    charged = 0.0
+    for op in prog.ops:
+        charged += op.charged_cost
     assert charged != prog.total_cost
     assert abs(charged - prog.total_cost) <= 4 * len(seq) * 2**-53 * charged
 
