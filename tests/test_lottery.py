@@ -567,7 +567,9 @@ def test_avoidance_mc_does_not_compute_the_exact_value(monkeypatch):
         avoidance_probability_mc(4, 5, 2, 1, n_replications=10, seed=1)
 
 
-def test_avoidance_mc_caps_the_draws_of_a_batch(monkeypatch):
+@pytest.fixture
+def draw_sizes(monkeypatch):
+    """The size of every draw the seeded streams make, in order."""
     import numpy as np
 
     sizes = []
@@ -578,6 +580,10 @@ def test_avoidance_mc_caps_the_draws_of_a_batch(monkeypatch):
             return super().integers(*args, size=size, **kwargs)
 
     monkeypatch.setattr(np.random, "Generator", Recording)
+    return sizes
+
+
+def test_avoidance_mc_caps_the_draws_of_a_batch(monkeypatch, draw_sizes):
     # the same ratio as the real constants: up to 200 subjects a batch has
     # _MC_CHUNK rows, beyond that at most _MC_CELLS draws per array
     monkeypatch.setattr(lottery, "_MC_CHUNK", 5)
@@ -585,13 +591,13 @@ def test_avoidance_mc_caps_the_draws_of_a_batch(monkeypatch):
     # at 200 subjects no replication counts after its first pick, so the
     # last batch stops after that pick
     avoidance_probability_mc(14, 3, 2, 200, n_replications=6, seed=1)
-    assert sizes == [(5, 200)] * 3 + [(1, 200)]
-    sizes.clear()
+    assert draw_sizes == [(5, 200)] * 3 + [(1, 200)]
+    draw_sizes.clear()
     avoidance_probability_mc(14, 2, 2, 201, n_replications=10, seed=1)
-    assert sizes == [(4, 201)] * 4 + [(2, 201)]
-    sizes.clear()
+    assert draw_sizes == [(4, 201)] * 4 + [(2, 201)]
+    draw_sizes.clear()
     avoidance_probability_mc(14, 1, 2, 1001, n_replications=2, seed=1)
-    assert sizes == [(1, 1001)] * 2
+    assert draw_sizes == [(1, 1001)] * 2
 
 
 def _full_draw_mc(n_total, n_choices, n_avoided, n_subjects, n_replications, seed):
@@ -646,22 +652,12 @@ def test_avoidance_mc_matches_the_full_draw_loop(case):
                                         seed=case[5]) == _full_draw_mc(*case)
 
 
-def test_avoidance_mc_shortens_its_last_pick(monkeypatch):
-    import numpy as np
-
-    sizes = []
-
-    class Recording(np.random.Generator):
-        def integers(self, *args, size=None, **kwargs):
-            sizes.append(size)
-            return super().integers(*args, size=size, **kwargs)
-
-    monkeypatch.setattr(np.random, "Generator", Recording)
+def test_avoidance_mc_shortens_its_last_pick(monkeypatch, draw_sizes):
     monkeypatch.setattr(lottery, "_MC_CHUNK", 5)
     # the last batch's last replication stops counting before its fourth
     # pick, which is then drawn for the first two replications only
     estimate = avoidance_probability_mc(14, 4, 2, 3, n_replications=8, seed=4)
-    assert sizes == [(5, 3)] * 4 + [(3, 3)] * 3 + [(2, 3)]
+    assert draw_sizes == [(5, 3)] * 4 + [(3, 3)] * 3 + [(2, 3)]
     assert estimate == _full_draw_mc(14, 4, 2, 3, 8, 4) == 1 / 8
 
 
